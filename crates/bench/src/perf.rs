@@ -30,7 +30,7 @@ pub struct HistoryEntry {
 /// The `BENCH_decoder_pipeline.json` artifact: kernel-level and
 /// end-to-end throughput of the Alg.-1 decode hot path, plus the
 /// repeated-realization sweep wall-clock, with history.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfReport {
     /// Always [`PERF_SCHEMA`].
     pub schema: String,
@@ -48,37 +48,12 @@ pub struct PerfReport {
     pub sweep: BTreeMap<String, f64>,
     /// City-engine measurements: spatially-gated vs dense superposition
     /// candidate selection and sparse vs dense slot advance. Absent
-    /// from pre-engine artifacts, hence the defaulting hand-written
-    /// `Deserialize` below (the vendored derive has no `#[serde]`
-    /// attributes).
+    /// from pre-engine artifacts, which must keep parsing as
+    /// `--against` baselines, so it defaults to empty.
+    #[serde(default)]
     pub engine: BTreeMap<String, f64>,
     /// Earlier trajectory points.
     pub history: Vec<HistoryEntry>,
-}
-
-impl serde::Deserialize for PerfReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = match v {
-            serde::Value::Object(m) => m,
-            other => return Err(serde::Error::type_mismatch("object", other)),
-        };
-        let req = |key: &'static str| m.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        Ok(PerfReport {
-            schema: serde::Deserialize::from_value(req("schema")?)?,
-            title: serde::Deserialize::from_value(req("title")?)?,
-            config: serde::Deserialize::from_value(req("config")?)?,
-            kernels: serde::Deserialize::from_value(req("kernels")?)?,
-            end_to_end: serde::Deserialize::from_value(req("end_to_end")?)?,
-            sweep: serde::Deserialize::from_value(req("sweep")?)?,
-            // Older tracked artifacts predate the city engine; they
-            // must keep parsing as `--against` baselines.
-            engine: match m.get("engine") {
-                Some(v) => serde::Deserialize::from_value(v)?,
-                None => BTreeMap::new(),
-            },
-            history: serde::Deserialize::from_value(req("history")?)?,
-        })
-    }
 }
 
 impl PerfReport {

@@ -102,32 +102,19 @@ impl Medium {
     /// arbitrary staggering: samples outside every transmission contain
     /// pure noise (the inter-packet noise floor §7.1 detects against).
     pub fn receive(&mut self, transmissions: &[Transmission], duration: usize) -> Vec<Cplx> {
+        let refs: Vec<TransmissionRef<'_>> = transmissions.iter().map(|t| t.as_ref()).collect();
         let mut out = Vec::new();
-        self.receive_into(transmissions, duration, &mut out);
+        self.receive_refs_into(&refs, duration, &mut out);
         out
     }
 
-    /// [`Self::receive`] into caller-owned scratch: `out` is cleared,
+    /// [`Self::receive`] over borrowed transmissions into caller-owned
+    /// scratch — the zero-copy entry point for callers (the engine)
+    /// that fan one waveform out to many receivers. `out` is cleared,
     /// resized to `duration`, and filled with the superposition plus
-    /// noise. The engine's RX loop reuses one buffer per receiver so
-    /// per-slot receptions stop allocating once the buffer has grown to
-    /// window size (the allocation-free convention of the decode hot
-    /// path). Output is bit-identical to [`Self::receive`]:
-    /// transmissions are summed in slice order.
-    pub fn receive_into(
-        &mut self,
-        transmissions: &[Transmission],
-        duration: usize,
-        out: &mut Vec<Cplx>,
-    ) {
-        let refs: Vec<TransmissionRef<'_>> = transmissions.iter().map(|t| t.as_ref()).collect();
-        self.receive_refs_into(&refs, duration, out);
-    }
-
-    /// [`Self::receive_into`] over borrowed transmissions — the
-    /// zero-copy entry point for callers (the engine) that fan one
-    /// waveform out to many receivers. Bit-identical to the owned
-    /// variants: same summation order, same float expressions.
+    /// noise, so a reused buffer stops allocating once it has grown to
+    /// window size. Transmissions are summed in slice order;
+    /// [`Self::receive`] is this over owned transmissions.
     pub fn receive_refs_into(
         &mut self,
         transmissions: &[TransmissionRef<'_>],
@@ -137,40 +124,6 @@ impl Medium {
         out.clear();
         out.resize(duration, Cplx::ZERO);
         for tx in transmissions {
-            let propagated = tx.link.apply(tx.samples);
-            for (i, &s) in propagated.iter().enumerate() {
-                let t = tx.start + i;
-                if t < duration {
-                    out[t] += s;
-                }
-            }
-        }
-        self.noise.add_to(out);
-    }
-
-    /// [`Self::receive_refs_into`] with a per-transmission audibility
-    /// gate: only transmissions whose sender index (parallel slice
-    /// `senders`) is set in `audible` are superposed. Bit-identical to
-    /// calling [`Self::receive_refs_into`] on the filtered
-    /// subsequence: skipped transmissions touch neither the sum nor
-    /// the noise stream (noise draws one sample per output sample
-    /// regardless of how many transmissions land on it), so a mask
-    /// admitting every sender reproduces the dense path exactly.
-    pub fn receive_gated_into(
-        &mut self,
-        transmissions: &[TransmissionRef<'_>],
-        senders: &[u32],
-        audible: &crate::spatial::NodeMask,
-        duration: usize,
-        out: &mut Vec<Cplx>,
-    ) {
-        debug_assert_eq!(transmissions.len(), senders.len());
-        out.clear();
-        out.resize(duration, Cplx::ZERO);
-        for (tx, &sender) in transmissions.iter().zip(senders) {
-            if !audible.get(sender as usize) {
-                continue;
-            }
             let propagated = tx.link.apply(tx.samples);
             for (i, &s) in propagated.iter().enumerate() {
                 let t = tx.start + i;
@@ -291,57 +244,6 @@ mod tests {
         let before = rx.clone();
         Medium::inject_jammer(&mut rx, 0.0, DspRng::seed_from(42));
         assert_eq!(rx, before);
-    }
-
-    #[test]
-    fn gated_full_mask_matches_dense_bit_for_bit() {
-        use crate::spatial::NodeMask;
-        let modem = MskModem::default();
-        let waves: Vec<Vec<Cplx>> = (0..4)
-            .map(|k| modem.modulate(&[k % 2 == 0, true, k % 3 == 0, false]))
-            .collect();
-        let refs: Vec<TransmissionRef<'_>> = waves
-            .iter()
-            .enumerate()
-            .map(|(k, w)| TransmissionRef {
-                samples: w,
-                start: 3 * k,
-                link: Link::new(0.9 - 0.1 * k as f64, 0.3 * k as f64, 0.0),
-            })
-            .collect();
-        let senders: Vec<u32> = vec![10, 20, 30, 40];
-        let mut all = NodeMask::new(64);
-        senders.iter().for_each(|&s| all.set(s as usize));
-        let mut dense = Vec::new();
-        Medium::new(1e-3, 77).receive_refs_into(&refs, 64, &mut dense);
-        let mut gated = Vec::new();
-        Medium::new(1e-3, 77).receive_gated_into(&refs, &senders, &all, 64, &mut gated);
-        assert_eq!(dense, gated);
-    }
-
-    #[test]
-    fn gated_partial_mask_matches_filtered_subsequence() {
-        use crate::spatial::NodeMask;
-        let waves: Vec<Vec<Cplx>> = (0..3).map(|k| vec![Cplx::ONE; 8 + k]).collect();
-        let refs: Vec<TransmissionRef<'_>> = waves
-            .iter()
-            .enumerate()
-            .map(|(k, w)| TransmissionRef {
-                samples: w,
-                start: k,
-                link: Link::new(1.0 - 0.2 * k as f64, 0.1, 0.0),
-            })
-            .collect();
-        let senders = [5u32, 6, 7];
-        let mut mask = NodeMask::new(8);
-        mask.set(5);
-        mask.set(7);
-        let mut gated = Vec::new();
-        Medium::new(2e-3, 9).receive_gated_into(&refs, &senders, &mask, 24, &mut gated);
-        let filtered = [refs[0], refs[2]];
-        let mut dense = Vec::new();
-        Medium::new(2e-3, 9).receive_refs_into(&filtered, 24, &mut dense);
-        assert_eq!(dense, gated);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 
 use anc_dsp::cast::round_to_i64;
 
-/// A fixed-capacity bitset over node indices, used by
-/// [`crate::Medium::receive_gated_into`] to select which transmissions
-/// are audible at one receiver.
+/// A fixed-capacity bitset over node indices, filled by the scenario
+/// engine's `Topology::audible_mask` (in `anc-sim`) to select which
+/// transmissions are audible at one receiver.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMask {
     words: Vec<u64>,

@@ -47,30 +47,6 @@ proptest! {
         }
     }
 
-    /// receive_into is bit-identical to receive, including when the
-    /// scratch buffer carries garbage from a previous longer window.
-    #[test]
-    fn receive_into_matches_receive(
-        seed in 0u64..5_000,
-        len in 1usize..128,
-        start in 0usize..96,
-        gain in 0.05f64..2.0,
-        noise_seed in 0u64..1_000,
-        stale_len in 0usize..256,
-    ) {
-        let t = tx(seed, len, start, gain, 0.7, 0.0);
-        let duration = t.end() + 16;
-        let fresh = Medium::from_rng(1e-3, DspRng::seed_from(noise_seed))
-            .receive(std::slice::from_ref(&t), duration);
-        let mut scratch = vec![Cplx::new(9.0, -9.0); stale_len];
-        Medium::from_rng(1e-3, DspRng::seed_from(noise_seed))
-            .receive_into(&[t], duration, &mut scratch);
-        prop_assert_eq!(scratch.len(), duration);
-        for i in 0..duration {
-            prop_assert_eq!(fresh[i], scratch[i]);
-        }
-    }
-
     /// The borrowed-transmission path (the engine's zero-copy RX loop)
     /// is bit-identical to the owned path.
     #[test]

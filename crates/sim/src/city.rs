@@ -192,6 +192,7 @@ impl CityLayout {
     }
 }
 
+// Hand-written: the derive supports only structs; the enum is a string tag.
 impl Serialize for CityLayout {
     fn to_value(&self) -> serde::Value {
         serde::Value::String(self.as_str().to_string())
@@ -231,13 +232,16 @@ pub struct FlashCrowd {
 
 /// City run parameters.
 ///
-/// Serialization is hand-written and *forward/backward tolerant*:
-/// every field missing from (or `null` in) a JSON object falls back
-/// to its [`CityConfig::default`] value, and unknown keys (such as
-/// the retired `threads` field — parallelism is now a property of the
-/// scheduler, not the config) are ignored. Pre-mobility configs load
-/// unchanged.
-#[derive(Debug, Clone)]
+/// Serialization is *forward/backward tolerant*: every field missing
+/// from a JSON object falls back to its [`CityConfig::default`] value,
+/// and unknown keys (such as the retired `threads` field — parallelism
+/// is now a property of the scheduler, not the config) are ignored.
+/// Pre-mobility configs load unchanged. A key that is present must
+/// hold a valid value: `null` reads as `None` for the optional fields
+/// and is an error for the rest, so a NaN `noise_power` (written as
+/// `null`) does not silently reload as the default.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(default)]
 pub struct CityConfig {
     /// Cells per street (3 nodes each).
     pub cells_x: usize,
@@ -307,70 +311,6 @@ impl Default for CityConfig {
             csma: CsmaConfig::default(),
             sparse: true,
         }
-    }
-}
-
-impl Serialize for CityConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut m = BTreeMap::new();
-        m.insert("cells_x".to_string(), self.cells_x.to_value());
-        m.insert("rows".to_string(), self.rows.to_value());
-        m.insert("layout".to_string(), self.layout.to_value());
-        m.insert("seed".to_string(), self.seed.to_value());
-        m.insert("rounds".to_string(), self.rounds.to_value());
-        m.insert("offered".to_string(), self.offered.to_value());
-        if let Some(f) = &self.flash {
-            m.insert("flash".to_string(), f.to_value());
-        }
-        m.insert("payload_bits".to_string(), self.payload_bits.to_value());
-        m.insert("noise_power".to_string(), self.noise_power.to_value());
-        if let Some(f) = &self.faults {
-            m.insert("faults".to_string(), f.to_value());
-        }
-        m.insert("velocity".to_string(), self.velocity.to_value());
-        m.insert("pause".to_string(), self.pause.to_value());
-        m.insert("flow_span".to_string(), self.flow_span.to_value());
-        m.insert("contention".to_string(), self.contention.to_value());
-        m.insert("csma".to_string(), self.csma.to_value());
-        m.insert("sparse".to_string(), self.sparse.to_value());
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for CityConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::type_mismatch("CityConfig object", v));
-        };
-        fn field<T: Deserialize>(
-            m: &BTreeMap<String, serde::Value>,
-            key: &str,
-            default: T,
-        ) -> Result<T, serde::Error> {
-            match m.get(key) {
-                None | Some(serde::Value::Null) => Ok(default),
-                Some(v) => T::from_value(v),
-            }
-        }
-        let d = CityConfig::default();
-        Ok(CityConfig {
-            cells_x: field(m, "cells_x", d.cells_x)?,
-            rows: field(m, "rows", d.rows)?,
-            layout: field(m, "layout", d.layout)?,
-            seed: field(m, "seed", d.seed)?,
-            rounds: field(m, "rounds", d.rounds)?,
-            offered: field(m, "offered", d.offered)?,
-            flash: field(m, "flash", None)?,
-            payload_bits: field(m, "payload_bits", d.payload_bits)?,
-            noise_power: field(m, "noise_power", d.noise_power)?,
-            faults: field(m, "faults", None)?,
-            velocity: field(m, "velocity", d.velocity)?,
-            pause: field(m, "pause", d.pause)?,
-            flow_span: field(m, "flow_span", d.flow_span)?,
-            contention: field(m, "contention", d.contention)?,
-            csma: field(m, "csma", d.csma)?,
-            sparse: field(m, "sparse", d.sparse)?,
-        })
     }
 }
 
@@ -2228,32 +2168,6 @@ impl CityRun {
     }
 }
 
-/// Runs a city simulation, panicking where the builder would return
-/// an error.
-#[deprecated(
-    since = "0.1.0",
-    note = "use CityConfig::builder(scheme).config(cfg).build()?.execute() — the builder \
-            also selects the executor"
-)]
-pub fn run_city(cfg: &CityConfig, scheme: Scheme) -> CityOutcome {
-    #[allow(deprecated)]
-    try_run_city(cfg, scheme).unwrap_or_else(|e| panic!("city run failed: {e}"))
-}
-
-/// Fallible entry to the city simulation on the deterministic
-/// executor.
-#[deprecated(
-    since = "0.1.0",
-    note = "use CityConfig::builder(scheme).config(cfg).build()?.execute() — the builder \
-            also selects the executor"
-)]
-pub fn try_run_city(cfg: &CityConfig, scheme: Scheme) -> Result<CityOutcome, CityError> {
-    CityConfig::builder(scheme)
-        .config(cfg.clone())
-        .build()?
-        .execute()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2479,20 +2393,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder() {
-        assert_eq!(
-            try_run_city(&small(1), Scheme::Cope).unwrap_err(),
-            CityError::UnsupportedScheme(Scheme::Cope)
-        );
-        let a = try_run_city(&small(5), Scheme::Anc).unwrap();
-        let b = run_city(&small(5), Scheme::Anc);
-        let c = run(&small(5), Scheme::Anc);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
     fn gate_radius_matches_paper_operating_point() {
         let cfg = CityConfig::default();
         // 20 dB above a 1e-3 floor → amplitude 0.316 → ≈ 21.5 m under
@@ -2614,6 +2514,26 @@ mod tests {
             .execute_profiled()
             .expect("city run");
         assert_eq!(still.mobility_ns, 0, "static cities never pay mobility");
+    }
+
+    #[test]
+    fn config_json_rejects_null_and_mangled_numbers() {
+        let with = |key: &str, v: serde::Value| {
+            let serde::Value::Object(mut m) = small(1).to_value() else {
+                panic!("config serializes to an object");
+            };
+            m.insert(key.to_string(), v);
+            CityConfig::from_value(&serde::Value::Object(m))
+        };
+        // `null` is not "missing": a NaN noise power serializes to
+        // `null` and must not reload as the default.
+        assert!(with("noise_power", serde::Value::Null).is_err());
+        assert!(with("cells_x", serde::Value::Number(-3.0)).is_err());
+        assert!(with("payload_bits", serde::Value::Number(1.5)).is_err());
+        // The optional fields still take `null` as `None`.
+        let cfg = with("flash", serde::Value::Null).expect("null flash");
+        assert!(cfg.flash.is_none());
+        assert_eq!(cfg.cells_x, 4);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// # Panics
 /// Panics on an [`crate::EngineError`] — the sweeps treat one as a
-/// violated structural invariant, exactly as the old `Engine::run`.
+/// violated structural invariant.
 fn exec(program: &Program, rc: &RunConfig) -> RunMetrics {
     Engine::try_run_ctx(
         program,

@@ -134,11 +134,7 @@ impl StatDigest {
     }
 }
 
-// Hand-written serde: an *empty* digest holds ±infinity min/max
-// sentinels, and JSON cannot carry non-finite numbers — so min/max
-// are only written when observations exist, and a missing pair reads
-// back as the empty-state sentinels. Every other field is finite by
-// construction.
+// Hand-written: an empty digest's ±∞ min/max cannot travel through JSON, so they are omitted.
 impl Serialize for StatDigest {
     fn to_value(&self) -> serde::Value {
         let mut obj = std::collections::BTreeMap::new();
@@ -249,7 +245,7 @@ impl ThroughputAccount {
 /// vs dropped packets, retransmission spend, FEC-discounted goodput,
 /// and per-packet latency samples (enqueue → acknowledgment, in
 /// medium samples).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlowMetrics {
     /// Flow index within the program.
     pub flow: usize,
@@ -282,43 +278,14 @@ pub struct FlowMetrics {
     /// O(1) [`StatDigest`] and `latency_samples` stays empty — the
     /// city-scale memory contract. Off by default (exact ledgers are
     /// the reference behavior; goldens and small paper runs keep
-    /// them).
+    /// them). Absent from metrics captured before the streaming
+    /// layer, so it defaults.
+    #[serde(default)]
     pub streaming: bool,
     /// O(1) streaming summary of ACK latencies. Always fed (the cost
     /// is constant), so run-level summaries work in either mode.
+    #[serde(default)]
     pub latency_stats: StatDigest,
-}
-
-// Hand-written so metrics captured before the streaming-metrics layer
-// (no `streaming` / `latency_stats` keys) still load — the same
-// compatibility convention as `ScenarioSpec`.
-impl Deserialize for FlowMetrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        Ok(FlowMetrics {
-            flow: Deserialize::from_value(get("flow")?)?,
-            offered: Deserialize::from_value(get("offered")?)?,
-            delivered: Deserialize::from_value(get("delivered")?)?,
-            dropped: Deserialize::from_value(get("dropped")?)?,
-            lost_after_ack: Deserialize::from_value(get("lost_after_ack")?)?,
-            retransmissions: Deserialize::from_value(get("retransmissions")?)?,
-            goodput_bits: Deserialize::from_value(get("goodput_bits")?)?,
-            latency_samples: Deserialize::from_value(get("latency_samples")?)?,
-            in_flight: Deserialize::from_value(get("in_flight")?)?,
-            lost_to_churn: Deserialize::from_value(get("lost_to_churn")?)?,
-            streaming: match obj.get("streaming") {
-                None => false,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            latency_stats: match obj.get("latency_stats") {
-                None => StatDigest::new(),
-                Some(v) => Deserialize::from_value(v)?,
-            },
-        })
-    }
 }
 
 impl FlowMetrics {
@@ -434,7 +401,7 @@ impl OutageRecord {
 
 /// Everything measured in one run of one scheme on one topology
 /// realization.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Which scheme ran.
     pub scheme: String,
@@ -460,51 +427,21 @@ pub struct RunMetrics {
     /// (`packet_bers`, `ber_by_receiver`, `overlaps`) stay empty and
     /// only the O(1) digests below grow. Off by default — exact
     /// ledgers feed the golden fingerprints and remain bit-identical
-    /// to the pre-streaming behavior.
+    /// to the pre-streaming behavior. This field and the digests below
+    /// are absent from metrics captured before the streaming layer,
+    /// so they default.
+    #[serde(default)]
     pub streaming: bool,
     /// O(1) streaming summary of all packet BERs (fed in both modes).
+    #[serde(default)]
     pub ber_stats: StatDigest,
     /// Per-receiver BER digests, in first-decode order.
+    #[serde(default)]
     pub receiver_ber_stats: Vec<(u8, StatDigest)>,
     /// O(1) streaming summary of overlap fractions (fed in both
     /// modes).
+    #[serde(default)]
     pub overlap_stats: StatDigest,
-}
-
-// Hand-written so metrics captured before the streaming-metrics layer
-// still load (missing keys read as the exact-mode defaults).
-impl Deserialize for RunMetrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        Ok(RunMetrics {
-            scheme: Deserialize::from_value(get("scheme")?)?,
-            account: Deserialize::from_value(get("account")?)?,
-            packet_bers: Deserialize::from_value(get("packet_bers")?)?,
-            ber_by_receiver: Deserialize::from_value(get("ber_by_receiver")?)?,
-            overlaps: Deserialize::from_value(get("overlaps")?)?,
-            flows: Deserialize::from_value(get("flows")?)?,
-            outages: Deserialize::from_value(get("outages")?)?,
-            streaming: match obj.get("streaming") {
-                None => false,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            ber_stats: match obj.get("ber_stats") {
-                None => StatDigest::new(),
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            receiver_ber_stats: match obj.get("receiver_ber_stats") {
-                None => Vec::new(),
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            overlap_stats: match obj.get("overlap_stats") {
-                None => StatDigest::new(),
-                Some(v) => Deserialize::from_value(v)?,
-            },
-        })
-    }
 }
 
 impl RunMetrics {
@@ -723,6 +660,94 @@ mod tests {
         };
         assert_eq!(open.time_to_failover(), None);
         assert_eq!(open.time_to_recover(), None);
+    }
+
+    /// A run with one closed-loop flow, as the JSON shape published
+    /// before the streaming-metrics layer saw it (no `streaming` or
+    /// digest keys on the run or on its flows).
+    fn pre_streaming_run_json() -> serde::Value {
+        let mut m = RunMetrics::new(Scheme::Anc);
+        m.account.deliver(1000, 0.01);
+        m.record_ber(3, 0.01);
+        m.overlaps.push(0.8);
+        let mut f = FlowMetrics {
+            flow: 1,
+            offered: 4,
+            delivered: 3,
+            ..FlowMetrics::default()
+        };
+        f.record_latency(120.0);
+        m.flows.push(f);
+        let mut v = m.to_value();
+        let serde::Value::Object(run) = &mut v else {
+            panic!("run metrics serialize to an object");
+        };
+        for key in [
+            "streaming",
+            "ber_stats",
+            "receiver_ber_stats",
+            "overlap_stats",
+        ] {
+            run.remove(key);
+        }
+        let Some(serde::Value::Array(flows)) = run.get_mut("flows") else {
+            panic!("flows serialize to an array");
+        };
+        for flow in flows {
+            let serde::Value::Object(flow) = flow else {
+                panic!("a flow serializes to an object");
+            };
+            flow.remove("streaming");
+            flow.remove("latency_stats");
+        }
+        v
+    }
+
+    #[test]
+    fn pre_streaming_metrics_json_still_loads() {
+        let back = RunMetrics::from_value(&pre_streaming_run_json()).unwrap();
+        assert_eq!(back.scheme, "anc");
+        assert_eq!(back.account.delivered, 1);
+        assert_eq!(back.packet_bers, vec![0.01]);
+        assert_eq!(back.ber_by_receiver, vec![(3, 0.01)]);
+        assert_eq!(back.overlaps, vec![0.8]);
+        // Absent streaming state reads as the exact-mode defaults.
+        assert!(!back.streaming);
+        assert_eq!(back.ber_stats.count(), 0);
+        assert!(back.receiver_ber_stats.is_empty());
+        assert_eq!(back.overlap_stats.count(), 0);
+        let flow = &back.flows[0];
+        assert_eq!((flow.flow, flow.offered, flow.delivered), (1, 4, 3));
+        assert_eq!(flow.latency_samples, vec![120.0]);
+        assert!(!flow.streaming);
+        assert_eq!(flow.latency_stats.count(), 0);
+        assert!((flow.mean_latency() - 120.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn metrics_json_missing_a_required_field_is_an_error() {
+        let mut v = pre_streaming_run_json();
+        let serde::Value::Object(run) = &mut v else {
+            unreachable!()
+        };
+        let Some(serde::Value::Array(flows)) = run.get_mut("flows") else {
+            unreachable!()
+        };
+        let serde::Value::Object(flow) = &mut flows[0] else {
+            unreachable!()
+        };
+        flow.remove("offered");
+        let err = RunMetrics::from_value(&v).unwrap_err();
+        assert!(err.to_string().contains("missing field `offered`"), "{err}");
+        let mut v = pre_streaming_run_json();
+        if let serde::Value::Object(run) = &mut v {
+            run.remove("packet_bers");
+        }
+        let err = RunMetrics::from_value(&v).unwrap_err();
+        assert!(
+            err.to_string().contains("missing field `packet_bers`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -105,8 +105,7 @@ impl SchedulerSpec {
 /// working memory loaned into the engine's nodes for the duration of a
 /// run (in `node_ids` order) and taken back after, grown. Feeding many
 /// runs through one `RunCtx` amortizes decode allocations across
-/// *trials* — the role the deprecated `DecodePipeline` used to play,
-/// now folded into the single run-context handle.
+/// *trials*.
 ///
 /// Scratch contents never affect decode output (pinned by the sim's
 /// equivalence tests); only where the buffers' capacity lives.

@@ -108,10 +108,8 @@ pub struct Scenario {
     pub scheme: Scheme,
 }
 
-/// Builder-style run entry: one fluent surface replacing the old
-/// four-way `Engine::run` / `try_run` / `run_with_pipeline` /
-/// `try_run_with_pipeline` split and the `ScenarioSpec::with_*`
-/// modifiers. Configure, [`RunBuilder::build`] once (compiling the
+/// Builder-style run entry: the one fluent surface for running a
+/// scenario. Configure, [`RunBuilder::build`] once (compiling the
 /// scenario), then execute the compiled [`Run`] as many times as
 /// needed — optionally with a warmed [`RunCtx`] and a non-default
 /// [`SchedulerSpec`].

@@ -80,7 +80,7 @@ impl From<crate::engine::EngineError> for ScenarioError {
 }
 
 /// A declarative scenario: topology graph + traffic pattern.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Scenario name (reports, artifacts).
     pub name: String,
@@ -115,6 +115,7 @@ pub struct ScenarioSpec {
     /// O(1)-memory digest mode ([`crate::metrics::StatDigest`])
     /// instead of growing exact per-packet vectors. `false` (the
     /// default) keeps the exact ledgers the goldens fingerprint.
+    #[serde(default)]
     pub streaming_metrics: bool,
 }
 
@@ -136,22 +137,6 @@ impl ScenarioSpec {
     /// (see [`ImpairmentSpec`]); builder-style for sweep drivers.
     pub fn with_impairments(mut self, spec: ImpairmentSpec) -> ScenarioSpec {
         self.impairments = Some(spec);
-        self
-    }
-
-    /// Enables the closed-loop MAC/ARQ layer (see [`ArqConfig`]);
-    /// builder-style for the load sweeps.
-    #[deprecated(since = "0.1.0", note = "use ScenarioSpec::builder(..).arq(..)")]
-    pub fn with_arq(mut self, arq: ArqConfig) -> ScenarioSpec {
-        self.arq = Some(arq);
-        self
-    }
-
-    /// Attaches a fault timeline (see [`FaultSpec`]); builder-style
-    /// for the chaos sweeps.
-    #[deprecated(since = "0.1.0", note = "use ScenarioSpec::builder(..).faults(..)")]
-    pub fn with_faults(mut self, faults: FaultSpec) -> ScenarioSpec {
-        self.faults = Some(faults);
         self
     }
 
@@ -626,42 +611,6 @@ impl ScenarioSpec {
     }
 }
 
-// Hand-written so missing `impairments` / `arq` keys read as `None`:
-// both fields arrived after ScenarioSpec's JSON shape was first
-// published, and the vendored derive would reject pre-impairment (or
-// pre-ARQ) scenario artifacts with a missing-field error instead of
-// loading them.
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        Ok(ScenarioSpec {
-            name: Deserialize::from_value(get("name")?)?,
-            graph: Deserialize::from_value(get("graph")?)?,
-            flows: Deserialize::from_value(get("flows")?)?,
-            untagged_traditional_bers: Deserialize::from_value(get("untagged_traditional_bers")?)?,
-            impairments: match obj.get("impairments") {
-                None => None,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            arq: match obj.get("arq") {
-                None => None,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            faults: match obj.get("faults") {
-                None => None,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-            streaming_metrics: match obj.get("streaming_metrics") {
-                None => false,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-        })
-    }
-}
-
 /// Parameters of the random-mesh scenario generator.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MeshConfig {
@@ -1093,6 +1042,32 @@ mod tests {
         let back = ScenarioSpec::from_value(&v).unwrap();
         assert!(back.faults.is_none());
         assert!(back.compile(Scheme::Anc).is_ok());
+    }
+
+    #[test]
+    fn pre_arq_pre_streaming_scenario_json_still_loads() {
+        use serde::{Deserialize as _, Serialize as _};
+        let mut v = ScenarioSpec::x().to_value();
+        // The JSON shape published before impairments, ARQ, faults and
+        // streaming metrics.
+        if let serde::Value::Object(obj) = &mut v {
+            for key in ["impairments", "arq", "faults", "streaming_metrics"] {
+                obj.remove(key);
+            }
+        }
+        let back = ScenarioSpec::from_value(&v).unwrap();
+        assert!(back.impairments.is_none());
+        assert!(back.arq.is_none());
+        assert!(back.faults.is_none());
+        assert!(!back.streaming_metrics);
+        assert!(back.untagged_traditional_bers);
+        assert!(back.compile(Scheme::Anc).is_ok());
+        // A key that predates all of them is still required.
+        if let serde::Value::Object(obj) = &mut v {
+            obj.remove("untagged_traditional_bers");
+        }
+        let err = ScenarioSpec::from_value(&v).unwrap_err();
+        assert!(err.to_string().contains("missing field"), "{err}");
     }
 
     #[test]

@@ -108,8 +108,7 @@ impl LinkClass {
     }
 }
 
-// The vendored serde shim derives only plain structs, so the enum is
-// lowered by hand: a tag string plus the custom bounds when present.
+// Hand-written: the derive supports only structs, and the custom bounds are validated on read.
 impl Serialize for LinkClass {
     fn to_value(&self) -> serde::Value {
         let mut obj = std::collections::BTreeMap::new();
@@ -166,7 +165,7 @@ impl Deserialize for LinkClass {
 }
 
 /// One declarative link of a [`TopologyGraph`].
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GraphLink {
     /// Transmitting node (or one end, when symmetric).
     pub from: NodeId,
@@ -223,29 +222,6 @@ impl GraphLink {
     }
 }
 
-// Hand-written so a missing `impairment` key reads as `None`: the
-// field arrived after GraphLink's JSON shape was first published, and
-// the vendored derive would reject pre-impairment graph artifacts
-// with a missing-field error instead of loading them.
-impl Deserialize for GraphLink {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        Ok(GraphLink {
-            from: Deserialize::from_value(get("from")?)?,
-            to: Deserialize::from_value(get("to")?)?,
-            class: Deserialize::from_value(get("class")?)?,
-            symmetric: Deserialize::from_value(get("symmetric")?)?,
-            impairment: match obj.get("impairment") {
-                None => None,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-        })
-    }
-}
-
 /// Optional node geometry attached to a [`TopologyGraph`]: one 2-D
 /// coordinate per entry of `node_ids` (same order) plus the audibility
 /// radius — the distance at which a link's energy falls below the
@@ -266,7 +242,7 @@ pub struct NodePositions {
 
 /// A declarative topology: N nodes and an arbitrary directed link
 /// matrix, realized into per-run channels by [`Self::realize`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TopologyGraph {
     /// Human-readable topology name (reports, artifacts).
     pub name: String,
@@ -280,27 +256,6 @@ pub struct TopologyGraph {
     /// Optional node geometry (spatial gating). `None` means every
     /// declared link is always audible — the dense reference path.
     pub positions: Option<NodePositions>,
-}
-
-// Hand-written so a missing `positions` key reads as `None`: the field
-// arrived after TopologyGraph's JSON shape was first published (same
-// compatibility convention as `GraphLink::impairment`).
-impl Deserialize for TopologyGraph {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        Ok(TopologyGraph {
-            name: Deserialize::from_value(get("name")?)?,
-            node_ids: Deserialize::from_value(get("node_ids")?)?,
-            links: Deserialize::from_value(get("links")?)?,
-            positions: match obj.get("positions") {
-                None => None,
-                Some(v) => Deserialize::from_value(v)?,
-            },
-        })
-    }
 }
 
 impl TopologyGraph {

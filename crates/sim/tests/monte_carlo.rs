@@ -64,13 +64,10 @@ fn parallel_trials_are_bit_identical_to_serial() {
 fn shared_ctx_runs_are_bit_identical_to_fresh_engines() {
     // One RunCtx carried across several runs — different seeds, both
     // schemes — must reproduce a throwaway-context run exactly: the
-    // loaned scratch is capacity-only state. The deprecated
-    // DecodePipeline shim must keep routing through the same path.
+    // loaned scratch is capacity-only state.
     use anc_sim::{Engine, RunCtx, SchedulerSpec};
     let spec = faded_alice_bob();
     let mut ctx = RunCtx::default();
-    #[allow(deprecated)]
-    let mut pipeline = anc_sim::DecodePipeline::default();
     for (seed, scheme) in [
         (31u64, Scheme::Anc),
         (32, Scheme::Anc),
@@ -81,18 +78,14 @@ fn shared_ctx_runs_are_bit_identical_to_fresh_engines() {
         let sched = SchedulerSpec::default();
         let fresh = Engine::try_run_ctx(&program, &cfg, &sched, &mut RunCtx::default()).unwrap();
         let warmed = Engine::try_run_ctx(&program, &cfg, &sched, &mut ctx).unwrap();
-        #[allow(deprecated)]
-        let piped = Engine::run_with_pipeline(&program, &cfg, &mut pipeline);
-        for (label, m) in [("warmed ctx", &warmed), ("pipeline shim", &piped)] {
-            assert_eq!(
-                fresh.account.goodput_bits.to_bits(),
-                m.account.goodput_bits.to_bits(),
-                "seed {seed} ({label})"
-            );
-            assert_eq!(fresh.account.time_samples, m.account.time_samples);
-            assert_eq!(fresh.packet_bers, m.packet_bers);
-            assert_eq!(fresh.overlaps, m.overlaps);
-        }
+        assert_eq!(
+            fresh.account.goodput_bits.to_bits(),
+            warmed.account.goodput_bits.to_bits(),
+            "seed {seed}"
+        );
+        assert_eq!(fresh.account.time_samples, warmed.account.time_samples);
+        assert_eq!(fresh.packet_bers, warmed.packet_bers);
+        assert_eq!(fresh.overlaps, warmed.overlaps);
     }
 }
 
