@@ -40,7 +40,7 @@ pub mod relay;
 pub mod spatial;
 
 pub use awgn::Awgn;
-pub use block::{mix_window, MediumBlock, WindowJob};
+pub use block::{mix_window, WindowJob};
 pub use impairment::{ImpairmentSpec, TxImpairment};
 pub use link::Link;
 pub use medium::{Medium, Transmission, TransmissionRef};

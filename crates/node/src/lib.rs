@@ -27,7 +27,7 @@ pub mod node;
 pub mod phy;
 pub mod trigger;
 
-pub use block::{synthesize, SynthJob, SynthSource, TxFrontEndBlock};
+pub use block::{synthesize, SynthJob, SynthSource};
 pub use mac::{CsmaConfig, MacConfig, TriggerMac};
 pub use node::{FrontEnd, Node, NodeConfig, NodeRole};
 pub use phy::{RxChain, RxEvent, TxChain};

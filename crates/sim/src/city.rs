@@ -8,16 +8,16 @@
 //! [`anc_core::decoder::AncDecoder`], §7.3–§7.5 amplify-and-forward
 //! relays) at city scale through five mechanisms:
 //!
-//! 1. **Regions as block groups.** The city is partitioned into
-//!    spatial regions (street rows); each region compiles to a group
-//!    of [`anc_runtime`] blocks — TX synthesis, relay
-//!    amplify-forward, endpoint decode — connected to the controller
-//!    by SPSC rings and executed by whatever
-//!    [`crate::pipeline::SchedulerSpec`] selects. Because every block
-//!    is a pure function of its ring inputs and a read-only snapshot
-//!    of the shared board, the deterministic executor and the
-//!    work-stealing executor produce bit-identical
-//!    [`CityOutcome::fingerprint`]s.
+//! 1. **One block per region.** The city is partitioned into spatial
+//!    regions (street rows); each region compiles to one
+//!    [`anc_runtime`] block that runs whichever stage the controller
+//!    sends it — TX synthesis, relay amplify-forward, endpoint decode
+//!    — connected to the controller by a job ring and an output ring
+//!    and executed by whatever [`crate::pipeline::SchedulerSpec`]
+//!    selects. Because every block is a pure function of its ring
+//!    inputs and a read-only snapshot of the shared board, the
+//!    deterministic executor and the work-stealing executor produce
+//!    bit-identical [`CityOutcome::fingerprint`]s.
 //!
 //! 2. **Spatially-gated superposition.** Nodes carry real
 //!    coordinates; link gain follows a distance power law, and any
@@ -72,13 +72,13 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::ops::Range;
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use crate::faults::FaultSpec;
 use crate::metrics::StatDigest;
-use crate::pipeline::SchedulerSpec;
-use anc_channel::{within_range, AmplifyForward, Link, Medium, SpatialGrid, TransmissionRef};
+use crate::pipeline::{wait_pop, wait_push, SchedulerSpec};
+use anc_channel::{mix_window, within_range, AmplifyForward, Link, SpatialGrid, WindowJob};
 use anc_core::decoder::{AncDecoder, DecoderConfig, DecoderScratch};
 use anc_core::detect::DetectorConfig;
 use anc_dsp::cast::floor_to_usize;
@@ -103,9 +103,9 @@ pub enum CityError {
     /// COPE's 3-slot scheme needs packet-level XOR state this waveform
     /// layer doesn't carry.
     UnsupportedScheme(Scheme),
-    /// A config field fails validation (zero cells, horizon beyond
-    /// `u32`, non-probability offered load, empty payloads, velocity
-    /// on a static layout…).
+    /// A config field fails validation (zero cells, a node count or
+    /// horizon beyond `u32`, non-probability offered load, empty
+    /// payloads, velocity on a static layout…).
     InvalidConfig(String),
     /// A served chain's queue cursor ran past its arrival calendar —
     /// the service loop and the calendar desynchronized.
@@ -121,6 +121,12 @@ pub enum CityError {
     /// typed error instead of a hang (deterministic executor only;
     /// the work-stealing pump cannot prove a stall).
     PipelineStalled,
+    /// A region block returned the result of a different stage than
+    /// the controller was folding — the rings desynchronized.
+    PipelineDesync {
+        /// The region whose block produced the result.
+        region: usize,
+    },
 }
 
 impl std::fmt::Display for CityError {
@@ -139,6 +145,9 @@ impl std::fmt::Display for CityError {
             ),
             CityError::PipelineStalled => {
                 write!(f, "city block graph stalled (wired-graph deadlock)")
+            }
+            CityError::PipelineDesync { region } => {
+                write!(f, "region {region} block returned another stage's result")
             }
         }
     }
@@ -782,11 +791,12 @@ fn compile_exchange(scheme: Scheme) -> Result<(SlotPlan, CompiledExchange), City
     Ok((plan, compiled))
 }
 
-/// One slot's transmitter: node index, in-slot sample offset, wave.
+/// One slot's transmitter: node index, in-slot sample offset, wave
+/// (shared into every window that hears it).
 struct SlotTx {
     node: u32,
     offset: usize,
-    wave: Vec<Cplx>,
+    wave: Arc<Vec<Cplx>>,
 }
 
 /// One cell's exchange in the current sub-round: both directional
@@ -840,6 +850,27 @@ struct Board {
     /// Traditional only: the current hop in local node indices.
     hop_from: u8,
     hop_to: u8,
+}
+
+impl Board {
+    /// The board before the first round: node positions and their
+    /// spatial index at `phy`'s gate radius, no exchanges yet.
+    fn new(positions: Vec<(f64, f64)>, phy: &CityPhy<'_>) -> Self {
+        let grid = SpatialGrid::build(&positions, phy.gate);
+        Board {
+            positions,
+            grid,
+            exch: Vec::new(),
+            seg: vec![0..0; phy.cfg.rows],
+            dctx: Vec::new(),
+            txs: Vec::new(),
+            slot: 0,
+            eround: 0,
+            hop_frames: Vec::new(),
+            hop_from: 0,
+            hop_to: 0,
+        }
+    }
 }
 
 /// The PHY shared by every round: frame layout, modulator, decoder,
@@ -925,7 +956,7 @@ impl<'a> CityPhy<'a> {
         let rpos = positions[recv as usize];
         let mut cands: Vec<u32> = Vec::new();
         grid.candidates_into(rpos, &mut cands);
-        let mut refs: Vec<TransmissionRef<'_>> = Vec::new();
+        let mut transmissions = Vec::new();
         let mut end = PAD;
         for id in cands {
             if id == recv || !within_range(positions[id as usize], rpos, self.gate) {
@@ -952,22 +983,27 @@ impl<'a> CityPhy<'a> {
             )
             .phase();
             let start = PAD + txs[k].offset;
-            refs.push(TransmissionRef {
-                samples: &txs[k].wave,
-                start,
-                link: Link::new(gain_at(d), phase, 0.0),
-            });
             end = end.max(start + txs[k].wave.len());
+            transmissions.push((
+                Arc::clone(&txs[k].wave),
+                start,
+                Link::new(gain_at(d), phase, 0.0),
+            ));
         }
-        let mut out = Vec::new();
-        Medium::from_rng(
-            self.cfg.noise_power,
-            DspRng::from_path(
+        let job = WindowJob {
+            duration: end + PAD,
+            noise_power: self.cfg.noise_power,
+            noise: DspRng::from_path(
                 self.cfg.seed,
                 &[CITY_STREAM_DOMAIN, KIND_NOISE, u64::from(recv), slot],
             ),
-        )
-        .receive_refs_into(&refs, end + PAD, &mut out);
+            transmissions,
+            tones: Vec::new(),
+            jammer: None,
+            tag: 0,
+        };
+        let mut out = Vec::new();
+        mix_window(job, &mut out);
         out
     }
 
@@ -995,12 +1031,12 @@ impl<'a> CityPhy<'a> {
                         SlotTx {
                             node: u32::try_from(node_a(c)).expect("node fits u32"),
                             offset: off_a,
-                            wave: wave_a,
+                            wave: Arc::new(wave_a),
                         },
                         SlotTx {
                             node: u32::try_from(node_b(c)).expect("node fits u32"),
                             offset: off_b,
-                            wave: wave_b,
+                            wave: Arc::new(wave_b),
                         },
                     ],
                 )
@@ -1027,7 +1063,7 @@ impl<'a> CityPhy<'a> {
                 SlotTx {
                     node: r,
                     offset: 0,
-                    wave,
+                    wave: Arc::new(wave),
                 }
             })
             .collect()
@@ -1107,7 +1143,7 @@ impl<'a> CityPhy<'a> {
                 SlotTx {
                     node: u32::try_from(node).expect("node fits u32"),
                     offset: 0,
-                    wave,
+                    wave: Arc::new(wave),
                 }
             })
             .collect()
@@ -1143,9 +1179,9 @@ enum RegionJob {
 /// A region block's stage result.
 enum RegionOut {
     Tx(Vec<(DecodeCtx, [SlotTx; 2])>),
-    Relay(Vec<SlotTx>),
+    /// Relay or traditional hop transmitters.
+    Slots(Vec<SlotTx>),
     Decode(Vec<[Option<Vec<bool>>; 2]>),
-    Modulated(Vec<SlotTx>),
     HopDecoded(Vec<Option<Frame>>),
 }
 
@@ -1187,13 +1223,11 @@ impl Block for RegionBlock<'_> {
             let range = board.seg[self.region].clone();
             self.staged = Some(match job {
                 RegionJob::AncTx => RegionOut::Tx(self.phy.anc_tx(&board, range)),
-                RegionJob::AncRelay => RegionOut::Relay(self.phy.anc_relay(&board, range)),
+                RegionJob::AncRelay => RegionOut::Slots(self.phy.anc_relay(&board, range)),
                 RegionJob::AncDecode => {
                     RegionOut::Decode(self.phy.anc_decode(&board, range, &mut self.scratch))
                 }
-                RegionJob::TradModulate => {
-                    RegionOut::Modulated(self.phy.trad_modulate(&board, range))
-                }
+                RegionJob::TradModulate => RegionOut::Slots(self.phy.trad_modulate(&board, range)),
                 RegionJob::TradDecode => RegionOut::HopDecoded(self.phy.trad_decode(&board, range)),
             });
         }
@@ -1205,18 +1239,15 @@ impl Block for RegionBlock<'_> {
     }
 }
 
-/// The controller's handles to one region's three stage blocks.
+/// The controller's handle on one region's block.
 struct RegionPorts {
-    tx_job: Producer<RegionJob>,
-    tx_out: Consumer<RegionOut>,
-    relay_job: Producer<RegionJob>,
-    relay_out: Consumer<RegionOut>,
-    dec_job: Producer<RegionJob>,
-    dec_out: Consumer<RegionOut>,
+    job: Producer<RegionJob>,
+    out: Consumer<RegionOut>,
 }
 
-/// Builds the city's block graph: three stage blocks per region
-/// (street row), region-major, named `city-r{row}-{stage}`.
+/// Builds the city's block graph: one block per region (street row),
+/// named `city-r{row}`, each wired to the controller with a job ring
+/// and an output ring.
 fn build_city_graph<'env>(
     phy: &'env CityPhy<'env>,
     board: &'env RwLock<Board>,
@@ -1224,69 +1255,24 @@ fn build_city_graph<'env>(
     capacity: usize,
 ) -> (Vec<Box<dyn Block + 'env>>, Vec<RegionPorts>) {
     let cap = capacity.max(1);
-    let mut blocks: Vec<Box<dyn Block + 'env>> = Vec::with_capacity(3 * regions);
+    let mut blocks: Vec<Box<dyn Block + 'env>> = Vec::with_capacity(regions);
     let mut ports = Vec::with_capacity(regions);
     for region in 0..regions {
-        let mut mk = |tag: &str| {
-            let (job_tx, job_rx) = channel(cap);
-            let (out_tx, out_rx) = channel(cap);
-            blocks.push(Box::new(RegionBlock {
-                name: format!("city-r{region}-{tag}"),
-                region,
-                phy,
-                board,
-                job: job_rx,
-                out: out_tx,
-                staged: None,
-                scratch: DecoderScratch::default(),
-            }));
-            (job_tx, out_rx)
-        };
-        let (tx_job, tx_out) = mk("tx");
-        let (relay_job, relay_out) = mk("relay");
-        let (dec_job, dec_out) = mk("decode");
-        ports.push(RegionPorts {
-            tx_job,
-            tx_out,
-            relay_job,
-            relay_out,
-            dec_job,
-            dec_out,
-        });
+        let (job, job_rx) = channel(cap);
+        let (out_tx, out) = channel(cap);
+        blocks.push(Box::new(RegionBlock {
+            name: format!("city-r{region}"),
+            region,
+            phy,
+            board,
+            job: job_rx,
+            out: out_tx,
+            staged: None,
+            scratch: DecoderScratch::default(),
+        }));
+        ports.push(RegionPorts { job, out });
     }
     (blocks, ports)
-}
-
-/// Pushes a job, pumping the graph whenever the ring is full.
-fn push_job(
-    pump: &mut dyn Pump,
-    port: &mut Producer<RegionJob>,
-    job: RegionJob,
-) -> Result<(), CityError> {
-    let mut j = job;
-    loop {
-        match port.try_push(j) {
-            Ok(()) => return Ok(()),
-            Err(back) => {
-                j = back;
-                if !pump.pump() {
-                    return Err(CityError::PipelineStalled);
-                }
-            }
-        }
-    }
-}
-
-/// Pops a stage result, pumping the graph until it arrives.
-fn pop_out(pump: &mut dyn Pump, port: &mut Consumer<RegionOut>) -> Result<RegionOut, CityError> {
-    loop {
-        if let Some(out) = port.try_pop() {
-            return Ok(out);
-        }
-        if !pump.pump() {
-            return Err(CityError::PipelineStalled);
-        }
-    }
 }
 
 /// Mutable state threaded through the advance loop.
@@ -1792,23 +1778,16 @@ impl CityDriver<'_> {
                     b.seg = seg;
                     b.eround = e;
                 }
-                for &r in &active {
-                    push_job(&mut *self.pump, &mut self.ports[r].tx_job, RegionJob::AncTx)?;
-                }
+                let tx = self.stage(&active, RegionJob::AncTx, |o| match o {
+                    RegionOut::Tx(v) => Some(v),
+                    _ => None,
+                })?;
                 let mut dctx = Vec::with_capacity(n);
                 let mut uplink = Vec::with_capacity(2 * n);
-                for &r in &active {
-                    // A mismatched variant would mean the rings broke
-                    // FIFO — surfaced as a stall, not a panic.
-                    let RegionOut::Tx(v) = pop_out(&mut *self.pump, &mut self.ports[r].tx_out)?
-                    else {
-                        return Err(CityError::PipelineStalled);
-                    };
-                    for (ctx, [ta, tb]) in v {
-                        dctx.push(ctx);
-                        uplink.push(ta);
-                        uplink.push(tb);
-                    }
+                for (ctx, [ta, tb]) in tx {
+                    dctx.push(ctx);
+                    uplink.push(ta);
+                    uplink.push(tb);
                 }
                 {
                     let mut b = self.board.write().expect("board lock");
@@ -1816,22 +1795,10 @@ impl CityDriver<'_> {
                     b.txs = uplink;
                     b.slot = e * self.spr;
                 }
-                for &r in &active {
-                    push_job(
-                        &mut *self.pump,
-                        &mut self.ports[r].relay_job,
-                        RegionJob::AncRelay,
-                    )?;
-                }
-                let mut downlink = Vec::with_capacity(n);
-                for &r in &active {
-                    let RegionOut::Relay(v) =
-                        pop_out(&mut *self.pump, &mut self.ports[r].relay_out)?
-                    else {
-                        return Err(CityError::PipelineStalled);
-                    };
-                    downlink.extend(v);
-                }
+                let downlink = self.stage(&active, RegionJob::AncRelay, |o| match o {
+                    RegionOut::Slots(v) => Some(v),
+                    _ => None,
+                })?;
                 self.profile.window_assembly_ns += elapsed_ns(t0);
                 {
                     let mut b = self.board.write().expect("board lock");
@@ -1839,22 +1806,10 @@ impl CityDriver<'_> {
                     b.slot = e * self.spr + 1;
                 }
                 let t1 = Instant::now();
-                for &r in &active {
-                    push_job(
-                        &mut *self.pump,
-                        &mut self.ports[r].dec_job,
-                        RegionJob::AncDecode,
-                    )?;
-                }
-                let mut results = Vec::with_capacity(n);
-                for &r in &active {
-                    let RegionOut::Decode(v) =
-                        pop_out(&mut *self.pump, &mut self.ports[r].dec_out)?
-                    else {
-                        return Err(CityError::PipelineStalled);
-                    };
-                    results.extend(v);
-                }
+                let results = self.stage(&active, RegionJob::AncDecode, |o| match o {
+                    RegionOut::Decode(v) => Some(v),
+                    _ => None,
+                })?;
                 self.profile.decode_ns += elapsed_ns(t1);
                 Ok(results)
             }
@@ -1888,22 +1843,10 @@ impl CityDriver<'_> {
                         b.hop_to = hop.to;
                     }
                     let t0 = Instant::now();
-                    for &r in &active {
-                        push_job(
-                            &mut *self.pump,
-                            &mut self.ports[r].tx_job,
-                            RegionJob::TradModulate,
-                        )?;
-                    }
-                    let mut txs = Vec::with_capacity(n);
-                    for &r in &active {
-                        let RegionOut::Modulated(v) =
-                            pop_out(&mut *self.pump, &mut self.ports[r].tx_out)?
-                        else {
-                            return Err(CityError::PipelineStalled);
-                        };
-                        txs.extend(v);
-                    }
+                    let txs = self.stage(&active, RegionJob::TradModulate, |o| match o {
+                        RegionOut::Slots(v) => Some(v),
+                        _ => None,
+                    })?;
                     self.profile.window_assembly_ns += elapsed_ns(t0);
                     {
                         let mut b = self.board.write().expect("board lock");
@@ -1911,22 +1854,10 @@ impl CityDriver<'_> {
                         b.slot = e * self.spr + j as u64;
                     }
                     let t1 = Instant::now();
-                    for &r in &active {
-                        push_job(
-                            &mut *self.pump,
-                            &mut self.ports[r].dec_job,
-                            RegionJob::TradDecode,
-                        )?;
-                    }
-                    let mut decoded = Vec::with_capacity(n);
-                    for &r in &active {
-                        let RegionOut::HopDecoded(v) =
-                            pop_out(&mut *self.pump, &mut self.ports[r].dec_out)?
-                        else {
-                            return Err(CityError::PipelineStalled);
-                        };
-                        decoded.extend(v);
-                    }
+                    let decoded = self.stage(&active, RegionJob::TradDecode, |o| match o {
+                        RegionOut::HopDecoded(v) => Some(v),
+                        _ => None,
+                    })?;
                     self.profile.decode_ns += elapsed_ns(t1);
                     if hop.forward {
                         fwd_fr = decoded;
@@ -1952,6 +1883,28 @@ impl CityDriver<'_> {
                     .collect())
             }
         }
+    }
+
+    /// Runs one stage on every region in `active` (ascending): pushes
+    /// `job` to each region's block, then pops and unpacks their
+    /// results in region order, so the concatenation is in exchange
+    /// order. A result `unpack` rejects means the rings desynchronized.
+    fn stage<T>(
+        &mut self,
+        active: &[usize],
+        job: RegionJob,
+        unpack: fn(RegionOut) -> Option<Vec<T>>,
+    ) -> Result<Vec<T>, CityError> {
+        let stalled = |_| CityError::PipelineStalled;
+        for &r in active {
+            wait_push(&mut self.ports[r].job, job, &mut *self.pump).map_err(stalled)?;
+        }
+        let mut all = Vec::new();
+        for &r in active {
+            let out = wait_pop(&mut self.ports[r].out, &mut *self.pump).map_err(stalled)?;
+            all.extend(unpack(out).ok_or(CityError::PipelineDesync { region: r })?);
+        }
+        Ok(all)
     }
 }
 
@@ -1987,6 +1940,15 @@ impl CityRunBuilder {
         let cfg = &self.cfg;
         if cfg.cells_x == 0 || cfg.rows == 0 {
             return Err(CityError::InvalidConfig("city needs cells".into()));
+        }
+        let nodes = (cfg.cells_x.checked_mul(cfg.rows))
+            .and_then(|cells| cells.checked_mul(3))
+            .and_then(|n| u32::try_from(n).ok());
+        if nodes.is_none() {
+            return Err(CityError::InvalidConfig(format!(
+                "{} x {} cells: the node count must fit u32",
+                cfg.cells_x, cfg.rows
+            )));
         }
         if u32::try_from(cfg.rounds).is_err() {
             return Err(CityError::InvalidConfig(
@@ -2103,20 +2065,7 @@ impl CityRun {
         let cal = calendars(cfg, &positions, &chains);
         let mut waypoints = build_waypoints(cfg, &positions);
         let phy = CityPhy::new(cfg);
-        let grid = SpatialGrid::build(&positions, phy.gate);
-        let board = RwLock::new(Board {
-            positions,
-            grid,
-            exch: Vec::new(),
-            seg: vec![0..0; cfg.rows],
-            dctx: Vec::new(),
-            txs: Vec::new(),
-            slot: 0,
-            eround: 0,
-            hop_frames: Vec::new(),
-            hop_from: 0,
-            hop_to: 0,
-        });
+        let board = RwLock::new(Board::new(positions, &phy));
         let (blocks, mut ports) = build_city_graph(&phy, &board, cfg.rows, self.sched.capacity);
         let mut st = RunState::new(chains.len());
         let mut profile = CityProfile::default();
@@ -2266,6 +2215,18 @@ mod tests {
     }
 
     #[test]
+    fn city_graph_has_one_block_per_region() {
+        let cfg = small(1);
+        let phy = CityPhy::new(&cfg);
+        let board = RwLock::new(Board::new(place(&cfg), &phy));
+        let (blocks, ports) = build_city_graph(&phy, &board, cfg.rows, 4);
+        assert_eq!(blocks.len(), cfg.rows);
+        assert_eq!(ports.len(), cfg.rows);
+        let names: Vec<&str> = blocks.iter().map(|b| b.name()).collect();
+        assert_eq!(names, ["city-r0", "city-r1"]);
+    }
+
+    #[test]
     fn traditional_pays_double_latency() {
         let cfg = small(5);
         let anc = run(&cfg, Scheme::Anc);
@@ -2349,6 +2310,15 @@ mod tests {
             build(&cfg, Scheme::Anc),
             Err(CityError::InvalidConfig(_))
         ));
+        for (cells_x, rows) in [(1 << 31, 1), (usize::MAX, 2)] {
+            let mut cfg = small(1);
+            cfg.cells_x = cells_x;
+            cfg.rows = rows;
+            assert!(build(&cfg, Scheme::Anc)
+                .unwrap_err()
+                .to_string()
+                .contains("node count"));
+        }
         let mut cfg = small(1);
         cfg.offered = 1.5;
         assert!(matches!(

@@ -43,7 +43,8 @@
 use crate::faults::FaultSpec;
 use crate::metrics::{FlowMetrics, OutageRecord, RunMetrics};
 use crate::pipeline::{
-    build_graph, wait_pop, wait_push, NodePark, RunCtx, RxDone, RxWork, SchedulerSpec, SlotDriver,
+    build_graph, wait_pop, wait_push, NodeJob, NodeOut, NodePark, RunCtx, RxDone, RxWork,
+    SchedulerSpec, SlotDriver,
 };
 use crate::runs::RunConfig;
 use crate::topology::{Topology, TopologyGraph};
@@ -96,13 +97,25 @@ pub enum EngineError {
     /// only under the deterministic scheduler (which is therefore the
     /// oracle for work-stealing runs of the same program).
     PipelineStalled,
-    /// A decode outcome came back with the wrong correlation tag or
-    /// kind for the receive intent being folded.
+    /// A decode outcome came back with the wrong correlation tag for
+    /// the receive intent being folded.
     PipelineDesync {
         /// The intent index the fold expected.
         expected: u64,
         /// The tag that actually arrived.
         got: u64,
+    },
+    /// A node block's output was of the wrong kind for what the
+    /// controller was folding: a decode outcome in the TX barrier, a
+    /// waveform where a decode outcome was due, or an outcome that does
+    /// not answer the receive intent's action.
+    PipelineWrongKind {
+        /// The node whose block produced the output.
+        node: NodeId,
+        /// The kind the controller expected.
+        expected: &'static str,
+        /// The kind that arrived.
+        got: &'static str,
     },
 }
 
@@ -132,6 +145,14 @@ impl std::fmt::Display for EngineError {
                     "decode outcome desynchronized: expected intent {expected}, got tag {got}"
                 )
             }
+            EngineError::PipelineWrongKind {
+                node,
+                expected,
+                got,
+            } => write!(
+                f,
+                "node {node} block returned {got} output where {expected} output was due"
+            ),
         }
     }
 }
@@ -689,7 +710,7 @@ impl<'p> Engine<'p> {
     /// intents into synthesis jobs (all RNG draws happen here, in
     /// intent order), barrier on the finished waveforms (fired order),
     /// advance the clock by the slot span, then stream each receive
-    /// intent's superposition window through its mixer/decoder chain
+    /// intent's superposition window through the receiver's node block
     /// and fold the outcomes back in intent order.
     fn run_slot(
         &mut self,
@@ -704,7 +725,7 @@ impl<'p> Engine<'p> {
         for intent in &slot.txs {
             if let Some((job, offset)) = self.resolve_tx(park, intent, timing)? {
                 let idx = park.index_of(intent.sender)?;
-                wait_push(&mut drv.ports.tx[idx].jobs, job, &mut *drv.pump)?;
+                wait_push(&mut drv.ports[idx].job, NodeJob::Tx(job), &mut *drv.pump)?;
                 fired.push((intent.sender, offset));
             }
         }
@@ -718,7 +739,16 @@ impl<'p> Engine<'p> {
         // too). The event queue's order fixes superposition summation.
         for (sender, offset) in fired {
             let idx = park.index_of(sender)?;
-            let wave = wait_pop(&mut drv.ports.tx[idx].waves, &mut *drv.pump)?;
+            let wave = match wait_pop(&mut drv.ports[idx].out, &mut *drv.pump)? {
+                NodeOut::Wave(wave) => wave,
+                other => {
+                    return Err(EngineError::PipelineWrongKind {
+                        node: sender,
+                        expected: "wave",
+                        got: other.kind(),
+                    })
+                }
+            };
             self.events.push(ScheduledTx {
                 sender,
                 wave: Arc::new(wave),
@@ -1208,7 +1238,7 @@ impl<'p> Engine<'p> {
     /// phase draw, the §7.2 MAC delay draw, and the Monte Carlo TX
     /// process — so every RNG stream's draw order is exactly the
     /// serial engine's. The pure half (modulation, front end, CFO)
-    /// runs in the sender's TX block.
+    /// runs in the sender's node block.
     fn resolve_tx(
         &mut self,
         park: &NodePark,
@@ -1369,11 +1399,8 @@ impl<'p> Engine<'p> {
         let park = std::mem::take(&mut self.park);
         let result = (|| -> Result<(), EngineError> {
             if let Some((job, offset)) = self.resolve_tx(&park, intent, timing)? {
-                let (chain, front_end) = {
-                    let node = park.lock(intent.sender)?;
-                    (node.tx_chain().clone(), node.front_end)
-                };
-                let wave = anc_node::synthesize(&chain, &front_end, job);
+                let node = park.lock(intent.sender)?;
+                let wave = anc_node::synthesize(node.tx_chain(), &node.front_end, job);
                 self.events.push(ScheduledTx {
                     sender: intent.sender,
                     wave: Arc::new(wave),
@@ -1388,8 +1415,8 @@ impl<'p> Engine<'p> {
 
     /// Streams a slot's receive intents through the block graph: each
     /// intent is resolved in order (gates, audibility, noise fork) and
-    /// its pure superposition job shipped to the receiver's
-    /// mixer/decoder chain, while outcomes are folded back strictly in
+    /// its pure superposition job shipped to the receiver's node
+    /// block, while outcomes are folded back strictly in
     /// intent order — so several receivers' windows mix and decode
     /// concurrently under a parallel scheduler, yet every engine-state
     /// and metric mutation keeps the serial order.
@@ -1447,14 +1474,24 @@ impl<'p> Engine<'p> {
             match &plan[j] {
                 Pending::Skip(skip) => self.apply_skip(&slot.rxs[j], skip),
                 Pending::Window(idx) => {
-                    let (tag, done) = wait_pop(&mut drv.ports.rx[*idx].done, &mut *drv.pump)?;
+                    let intent = &slot.rxs[j];
+                    let (tag, done) = match wait_pop(&mut drv.ports[*idx].out, &mut *drv.pump)? {
+                        NodeOut::Done(tag, done) => (tag, done),
+                        other => {
+                            return Err(EngineError::PipelineWrongKind {
+                                node: intent.receiver,
+                                expected: rx_work(&intent.action).name(),
+                                got: other.kind(),
+                            })
+                        }
+                    };
                     if tag != j as u64 {
                         return Err(EngineError::PipelineDesync {
                             expected: j as u64,
                             got: tag,
                         });
                     }
-                    self.apply_outcome(&slot.rxs[j], done, tag)?;
+                    self.apply_outcome(intent, done)?;
                 }
             }
             *folded += 1;
@@ -1523,12 +1560,6 @@ impl<'p> Engine<'p> {
         }
         let pad = self.cfg.pad_samples;
         let duration = pad + span + pad;
-        // Spatial gating (positioned topologies only): one O(local
-        // density) grid query yields the set of senders this receiver
-        // can hear at all; every link walk below then skips gated-out
-        // senders. Unpositioned topologies take the dense reference
-        // path — `gated` stays false and `hears` admits everyone, so
-        // the golden runs are untouched.
         // Spatial gating (positioned topologies only): one O(local
         // density) grid query yields the set of senders this receiver
         // can hear at all; every link walk below then skips gated-out
@@ -1621,46 +1652,35 @@ impl<'p> Engine<'p> {
                     )
                 })
         });
-        let work = match &intent.action {
-            RxAction::CaptureMixture { .. } => RxWork::Capture,
-            RxAction::DeliverCope { .. } => RxWork::Cope,
-            RxAction::Overhear => RxWork::Overhear,
-            _ => RxWork::Poll,
+        let job = WindowJob {
+            duration,
+            noise_power: self.cfg.noise_power,
+            noise,
+            transmissions,
+            tones,
+            jammer,
+            tag,
         };
         let idx = drv.park.index_of(recv)?;
-        wait_push(&mut drv.ports.rx[idx].meta, work, &mut *drv.pump)?;
         wait_push(
-            &mut drv.ports.rx[idx].jobs,
-            WindowJob {
-                duration,
-                noise_power: self.cfg.noise_power,
-                noise,
-                transmissions,
-                tones,
-                jammer,
-                tag,
-            },
+            &mut drv.ports[idx].job,
+            NodeJob::Rx(rx_work(&intent.action), job),
             &mut *drv.pump,
         )?;
         Ok(Pending::Window(idx))
     }
 
     /// Applies a decode outcome — computed off the controller by the
-    /// receiver's block chain — to the engine's accounting. Runs at
-    /// fold position, so every metric and engine-state mutation keeps
-    /// the serial intent order. A done value of the wrong kind for the
-    /// intent's action means the rings desynchronized (`at` is the
-    /// intent index both sides should agree on).
-    fn apply_outcome(
-        &mut self,
-        intent: &RxIntent,
-        done: RxDone,
-        at: u64,
-    ) -> Result<(), EngineError> {
+    /// receiver's block — to the engine's accounting. Runs at fold
+    /// position, so every metric and engine-state mutation keeps the
+    /// serial intent order. A done value of the wrong kind for the
+    /// intent's action means the rings desynchronized.
+    fn apply_outcome(&mut self, intent: &RxIntent, done: RxDone) -> Result<(), EngineError> {
         let recv = intent.receiver;
-        let desync = || EngineError::PipelineDesync {
-            expected: at,
-            got: at,
+        let wrong = EngineError::PipelineWrongKind {
+            node: recv,
+            expected: rx_work(&intent.action).name(),
+            got: done.work().name(),
         };
         match &intent.action {
             RxAction::CaptureMixture { flows } => match done {
@@ -1675,11 +1695,11 @@ impl<'p> Engine<'p> {
                         self.lose_open();
                     }
                 }
-                _ => return Err(desync()),
+                _ => return Err(wrong),
             },
             RxAction::HoldClean => {
                 let RxDone::Evt(evt) = done else {
-                    return Err(desync());
+                    return Err(wrong);
                 };
                 match clean_frame(evt) {
                     Some(frame) => {
@@ -1695,7 +1715,7 @@ impl<'p> Engine<'p> {
                     .ok_or(EngineError::SlotFrameMissing(*from))?
                     .clone();
                 let RxDone::Evt(evt) = done else {
-                    return Err(desync());
+                    return Err(wrong);
                 };
                 match evt {
                     RxEvent::Clean {
@@ -1719,7 +1739,7 @@ impl<'p> Engine<'p> {
             }
             RxAction::DeliverAnc { flow, .. } => {
                 let RxDone::Evt(evt) = done else {
-                    return Err(desync());
+                    return Err(wrong);
                 };
                 let Some(theirs) = self.flows[*flow].round_frame.clone() else {
                     self.lose_open();
@@ -1740,7 +1760,7 @@ impl<'p> Engine<'p> {
             }
             RxAction::DeliverClean { flow, tag_receiver } => {
                 let RxDone::Evt(evt) = done else {
-                    return Err(desync());
+                    return Err(wrong);
                 };
                 let Some(theirs) = self.flows[*flow].round_frame.clone() else {
                     self.lose_open();
@@ -1762,7 +1782,7 @@ impl<'p> Engine<'p> {
             }
             RxAction::DeliverCope { flow, .. } => {
                 let RxDone::Cope(decoded) = done else {
-                    return Err(desync());
+                    return Err(wrong);
                 };
                 let Some(theirs) = self.flows[*flow].round_frame.clone() else {
                     self.lose_open();
@@ -1780,7 +1800,7 @@ impl<'p> Engine<'p> {
             }
             RxAction::DeliverByKey { flow } => {
                 let RxDone::Evt(evt) = done else {
-                    return Err(desync());
+                    return Err(wrong);
                 };
                 match evt {
                     RxEvent::Clean { frame, .. } => {
@@ -1807,7 +1827,7 @@ impl<'p> Engine<'p> {
             }
             RxAction::CopeCapture { flow } => {
                 let RxDone::Evt(evt) = done else {
-                    return Err(desync());
+                    return Err(wrong);
                 };
                 if let Some(frame) = clean_frame(evt) {
                     self.cope_pending[*flow] = Some(frame);
@@ -1817,7 +1837,7 @@ impl<'p> Engine<'p> {
             }
             RxAction::Overhear => {
                 let RxDone::Heard(got) = done else {
-                    return Err(desync());
+                    return Err(wrong);
                 };
                 self.heard.insert(recv, got);
             }
@@ -1831,7 +1851,7 @@ impl<'p> Engine<'p> {
 enum Pending {
     /// The window never opened; its accounting applies at fold position.
     Skip(RxSkip),
-    /// A window is in flight through the block chain of node `idx`.
+    /// A window is in flight through the block of node `idx`.
     Window(usize),
 }
 
@@ -1845,6 +1865,16 @@ enum RxSkip {
     /// Nothing audible (or a relay with nothing to forward): the slot
     /// is silent for this receiver.
     Silent,
+}
+
+/// The RX work a receive intent's action asks of the receiver's block.
+fn rx_work(action: &RxAction) -> RxWork {
+    match action {
+        RxAction::CaptureMixture { .. } => RxWork::Capture,
+        RxAction::DeliverCope { .. } => RxWork::Cope,
+        RxAction::Overhear => RxWork::Overhear,
+        _ => RxWork::Poll,
+    }
 }
 
 fn clean_frame(evt: RxEvent) -> Option<Frame> {
@@ -1879,6 +1909,43 @@ mod tests {
             ..RunConfig::quick(seed)
         };
         (program, cfg)
+    }
+
+    #[test]
+    fn mismatched_outcome_kind_is_reported_truthfully() {
+        let (p, c) = alice_bob_anc(1, None, 9);
+        let mut e = Engine::new(&p, &c);
+        let rxs = || p.slots.iter().flat_map(|s| &s.rxs);
+        let capture = rxs()
+            .find(|r| matches!(r.action, RxAction::CaptureMixture { .. }))
+            .expect("ANC captures the mixture at the router");
+        let err = e.apply_outcome(capture, RxDone::Heard(true)).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::PipelineWrongKind {
+                node: capture.receiver,
+                expected: "capture",
+                got: "overhear",
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "node {} block returned overhear output where capture output was due",
+                capture.receiver
+            )
+        );
+        let deliver = rxs()
+            .find(|r| matches!(r.action, RxAction::DeliverAnc { .. }))
+            .expect("ANC delivers at the endpoints");
+        assert_eq!(
+            e.apply_outcome(deliver, RxDone::Cope(None)),
+            Err(EngineError::PipelineWrongKind {
+                node: deliver.receiver,
+                expected: "poll",
+                got: "cope",
+            })
+        );
     }
 
     #[test]

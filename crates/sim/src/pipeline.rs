@@ -1,28 +1,33 @@
 //! The block-graph streaming runtime behind the engine.
 //!
-//! DESIGN.md §14: one run is executed as a small dataflow graph — per
-//! node a TX front-end block ([`anc_node::TxFrontEndBlock`]), a medium
-//! mixer ([`anc_channel::MediumBlock`]) and a crate-private decode
-//! block (`DecodeBlock`) — connected by fixed-capacity SPSC rings and
-//! driven by a pluggable [`anc_runtime::Scheduler`]. The engine's slot
-//! loop stays the sequential *controller*: it resolves everything
-//! stateful (RNG draws, queue state, metric mutations) in intent
-//! order, ships pure jobs into the rings, and folds outcomes back in
-//! intent order. Because every block computes a pure function of its
-//! ring traffic and per-node rings are FIFO, the deterministic and
+//! DESIGN.md §14: one run is executed as a small dataflow graph — one
+//! `NodeBlock` per node, like the paper's one radio per node, joined
+//! to the controller by a job ring and an output ring of fixed
+//! capacity and driven by a pluggable [`anc_runtime::Scheduler`]. A
+//! node block synthesizes its node's transmissions
+//! ([`anc_node::synthesize`]) and mixes and decodes its receptions
+//! ([`anc_channel::mix_window`], then the node's RX chain). The
+//! engine's slot loop stays the sequential *controller*: it resolves
+//! everything stateful (RNG draws, queue state, metric mutations) in
+//! intent order, ships pure jobs into the rings, and folds outputs
+//! back in intent order. Overlap comes from running different nodes'
+//! blocks at once — within one node the controller never has a
+//! transmission and a reception, or two receptions, in flight
+//! together. Because every block computes a pure function of its ring
+//! traffic and per-node rings are FIFO, the deterministic and
 //! work-stealing executors produce bit-identical [`RunMetrics`]
 //! (pinned by the golden suites and a scheduler-equivalence proptest).
 //!
 //! [`RunMetrics`]: crate::metrics::RunMetrics
 
 use crate::engine::EngineError;
-use anc_channel::{MediumBlock, WindowJob};
+use anc_channel::{mix_window, WindowJob};
 use anc_core::DecoderScratch;
 use anc_dsp::Cplx;
 use anc_frame::{Frame, NodeId};
 use anc_netcode::CopeCoder;
 use anc_node::phy::RxEvent;
-use anc_node::{Node, SynthJob, TxFrontEndBlock};
+use anc_node::{synthesize, Node, SynthJob};
 use anc_runtime::{
     channel, Block, BlockStatus, Consumer, Controller, DeterministicScheduler, Producer, Pump,
     Scheduler, WorkStealingScheduler,
@@ -54,9 +59,10 @@ pub enum SchedMode {
 pub struct SchedulerSpec {
     /// The executor.
     pub mode: SchedMode,
-    /// Ring capacity between blocks (clamped to ≥ 1). Deeper rings
-    /// admit more in-flight overlap per slot; capacity 1 is valid and
-    /// exercised by the equivalence proptest.
+    /// Capacity of the rings between the controller and each block
+    /// (clamped to ≥ 1). Deeper rings admit more in-flight overlap per
+    /// slot; capacity 1 is valid and exercised by the equivalence
+    /// proptest.
     pub capacity: usize,
 }
 
@@ -85,8 +91,8 @@ impl SchedulerSpec {
 
     /// Runs `controller` alongside `blocks` on the executor this spec
     /// selects — the one dispatch point shared by every block-graph
-    /// client (the engine's per-node pipeline, the city engine's
-    /// per-region groups), so mode matching lives in exactly one place.
+    /// client (the engine's per-node blocks, the city engine's
+    /// per-region blocks), so mode matching lives in exactly one place.
     pub fn run_blocks<'env, R>(
         &self,
         blocks: Vec<Box<dyn Block + 'env>>,
@@ -114,7 +120,7 @@ pub struct RunCtx {
     pub(crate) scratches: Vec<DecoderScratch>,
 }
 
-/// The engine's nodes, parked in `Mutex` cells so decode blocks can
+/// The engine's nodes, parked in `Mutex` cells so node blocks can
 /// borrow them from worker threads while the controller keeps mutable
 /// access to everything else. Per-node access is exclusive; the
 /// slot-end fold barrier orders cross-thread handoffs.
@@ -162,10 +168,10 @@ impl NodePark {
     }
 }
 
-/// What a decode block should do with its next reception window —
-/// resolved by the engine in intent order and shipped ahead of the
-/// window itself.
-#[derive(Debug, Clone, Copy)]
+/// What a node block should do with a reception window once it is
+/// mixed — resolved by the engine in intent order and shipped with
+/// the window's job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RxWork {
     /// Standard receiver poll; the outcome is folded by the engine.
     Poll,
@@ -180,7 +186,19 @@ pub(crate) enum RxWork {
     Overhear,
 }
 
-/// A decode block's outcome, matched one-to-one with the [`RxWork`]
+impl RxWork {
+    /// Short name, for desynchronization errors.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            RxWork::Poll => "poll",
+            RxWork::Capture => "capture",
+            RxWork::Cope => "cope",
+            RxWork::Overhear => "overhear",
+        }
+    }
+}
+
+/// A node block's RX outcome, matched one-to-one with the [`RxWork`]
 /// kind that requested it.
 #[derive(Debug)]
 pub(crate) enum RxDone {
@@ -195,20 +213,43 @@ pub(crate) enum RxDone {
     Heard(bool),
 }
 
-/// One receiver's decode stage: pops `(tag, window)` pairs mixed by
-/// its [`MediumBlock`], pops the matching [`RxWork`] meta, runs the
-/// node's RX chain under the park lock, and pushes `(tag, outcome)`.
-/// Spent windows return to the mixer through the recycle ring
-/// (best-effort: dropped when the pool is full).
-pub(crate) struct DecodeBlock<'env> {
-    park: &'env NodePark,
-    node_idx: usize,
-    meta: Consumer<RxWork>,
-    windows: Consumer<(u64, Vec<Cplx>)>,
-    done: Producer<(u64, RxDone)>,
-    recycle: Producer<Vec<Cplx>>,
-    staged: Option<(u64, RxDone)>,
-    pending_meta: Option<RxWork>,
+impl RxDone {
+    /// The [`RxWork`] kind this outcome answers.
+    pub(crate) fn work(&self) -> RxWork {
+        match self {
+            RxDone::Evt(_) => RxWork::Poll,
+            RxDone::Capture(_) => RxWork::Capture,
+            RxDone::Cope(_) => RxWork::Cope,
+            RxDone::Heard(_) => RxWork::Overhear,
+        }
+    }
+}
+
+/// One job for a node block.
+pub(crate) enum NodeJob {
+    /// Synthesize a transmission.
+    Tx(SynthJob),
+    /// Mix a reception window, then run the RX work over it.
+    Rx(RxWork, WindowJob),
+}
+
+/// A node block's output, in job order.
+#[derive(Debug)]
+pub(crate) enum NodeOut {
+    /// The synthesized waveform of a [`NodeJob::Tx`].
+    Wave(Vec<Cplx>),
+    /// The window's tag and RX outcome of a [`NodeJob::Rx`].
+    Done(u64, RxDone),
+}
+
+impl NodeOut {
+    /// Short name of the output's kind, for desynchronization errors.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            NodeOut::Wave(_) => "wave",
+            NodeOut::Done(_, done) => done.work().name(),
+        }
+    }
 }
 
 /// Runs one unit of RX work against a locked node — the exact decode
@@ -236,38 +277,57 @@ fn run_rx_work(node: &mut Node, work: RxWork, window: &[Cplx]) -> RxDone {
     }
 }
 
-impl Block for DecodeBlock<'_> {
+/// One node's radio as a block: pops [`NodeJob`]s and pushes one
+/// [`NodeOut`] per job, in order. The node itself stays in the park
+/// and is locked per job; reception windows are mixed into a buffer
+/// the block owns, so steady-state windows allocate nothing. The
+/// staged-output slot makes backpressure safe: an output that does
+/// not fit its ring is retried before the next job is popped.
+pub(crate) struct NodeBlock<'env> {
+    park: &'env NodePark,
+    idx: usize,
+    job: Consumer<NodeJob>,
+    out: Producer<NodeOut>,
+    staged: Option<NodeOut>,
+    window: Vec<Cplx>,
+}
+
+impl NodeBlock<'_> {
+    fn run(&mut self, job: NodeJob) -> NodeOut {
+        match job {
+            NodeJob::Tx(job) => {
+                let node = self.park.lock_at(self.idx);
+                NodeOut::Wave(synthesize(node.tx_chain(), &node.front_end, job))
+            }
+            NodeJob::Rx(work, job) => {
+                let tag = job.tag;
+                mix_window(job, &mut self.window);
+                let mut node = self.park.lock_at(self.idx);
+                NodeOut::Done(tag, run_rx_work(&mut node, work, &self.window))
+            }
+        }
+    }
+}
+
+impl Block for NodeBlock<'_> {
     fn name(&self) -> &str {
-        "decode"
+        "node"
     }
 
     fn poll(&mut self) -> BlockStatus {
         let mut progressed = false;
         loop {
             if let Some(out) = self.staged.take() {
-                match self.done.try_push(out) {
-                    Ok(()) => progressed = true,
-                    Err(out) => {
-                        self.staged = Some(out);
-                        break;
-                    }
+                if let Err(out) = self.out.try_push(out) {
+                    self.staged = Some(out);
+                    break;
                 }
+                progressed = true;
             }
-            if self.pending_meta.is_none() {
-                self.pending_meta = self.meta.try_pop();
-            }
-            if self.pending_meta.is_none() {
-                break;
-            }
-            let Some((tag, window)) = self.windows.try_pop() else {
+            let Some(job) = self.job.try_pop() else {
                 break;
             };
-            let Some(work) = self.pending_meta.take() else {
-                break;
-            };
-            let done = run_rx_work(&mut self.park.lock_at(self.node_idx), work, &window);
-            let _ = self.recycle.try_push(window);
-            self.staged = Some((tag, done));
+            self.staged = Some(self.run(job));
         }
         if progressed {
             BlockStatus::Progress
@@ -277,85 +337,46 @@ impl Block for DecodeBlock<'_> {
     }
 }
 
-/// The engine's handle on one sender's synthesis chain.
-pub(crate) struct TxPort {
-    pub(crate) jobs: Producer<SynthJob>,
-    pub(crate) waves: Consumer<Vec<Cplx>>,
-}
-
-/// The engine's handle on one receiver's mix-and-decode chain.
-pub(crate) struct RxPort {
-    pub(crate) meta: Producer<RxWork>,
-    pub(crate) jobs: Producer<WindowJob>,
-    pub(crate) done: Consumer<(u64, RxDone)>,
-}
-
-/// All ring endpoints the controller holds, indexed by park order.
-pub(crate) struct GraphPorts {
-    pub(crate) tx: Vec<TxPort>,
-    pub(crate) rx: Vec<RxPort>,
+/// The controller's handle on one node's block.
+pub(crate) struct NodePort {
+    pub(crate) job: Producer<NodeJob>,
+    pub(crate) out: Consumer<NodeOut>,
 }
 
 /// The controller-side context threaded through the engine's slot
-/// loop: the parked nodes, the graph's ring endpoints, and the
+/// loop: the parked nodes, one port per node (park order), and the
 /// scheduler's pump for driving progress while a ring blocks.
 pub(crate) struct SlotDriver<'a, 'env> {
     pub(crate) park: &'env NodePark,
-    pub(crate) ports: &'a mut GraphPorts,
+    pub(crate) ports: &'a mut [NodePort],
     pub(crate) pump: &'a mut dyn Pump,
 }
 
-/// Builds the per-node block graph over parked nodes: for node `i` a
-/// TX front-end block (cloned chain + copied front end), a medium
-/// mixer, and a decode block borrowing the park, wired with
-/// `capacity`-deep rings. The window recycle pool is pre-seeded so
-/// steady-state slots allocate nothing.
+/// Builds the block graph over parked nodes: one [`NodeBlock`] per
+/// node, in park order, each wired to the controller with a
+/// `capacity`-deep job ring and output ring.
 pub(crate) fn build_graph(
     park: &NodePark,
     capacity: usize,
-) -> (Vec<Box<dyn Block + '_>>, GraphPorts) {
+) -> (Vec<Box<dyn Block + '_>>, Vec<NodePort>) {
     let capacity = capacity.max(1);
     let n = park.len();
-    let mut blocks: Vec<Box<dyn Block + '_>> = Vec::with_capacity(3 * n);
-    let mut tx = Vec::with_capacity(n);
-    let mut rx = Vec::with_capacity(n);
-    for i in 0..n {
-        let (chain, front_end) = {
-            let node = park.lock_at(i);
-            (node.tx_chain().clone(), node.front_end)
-        };
-        let (jobs, jobs_in) = channel(capacity);
-        let (waves_out, waves) = channel(capacity);
-        blocks.push(Box::new(TxFrontEndBlock::new(
-            chain, front_end, jobs_in, waves_out,
-        )));
-        let (wjobs, wjobs_in) = channel(capacity);
-        let (mut pool, pool_out) = channel(capacity);
-        for _ in 0..capacity {
-            let _ = pool.try_push(Vec::new());
-        }
-        let (mixed_out, mixed) = channel(capacity);
-        let (meta, meta_in) = channel(capacity);
-        let (done_out, done) = channel(capacity);
-        blocks.push(Box::new(MediumBlock::new(wjobs_in, pool_out, mixed_out)));
-        blocks.push(Box::new(DecodeBlock {
+    let mut blocks: Vec<Box<dyn Block + '_>> = Vec::with_capacity(n);
+    let mut ports = Vec::with_capacity(n);
+    for idx in 0..n {
+        let (job, job_in) = channel(capacity);
+        let (out_tx, out) = channel(capacity);
+        blocks.push(Box::new(NodeBlock {
             park,
-            node_idx: i,
-            meta: meta_in,
-            windows: mixed,
-            done: done_out,
-            recycle: pool,
+            idx,
+            job: job_in,
+            out: out_tx,
             staged: None,
-            pending_meta: None,
+            window: Vec::new(),
         }));
-        tx.push(TxPort { jobs, waves });
-        rx.push(RxPort {
-            meta,
-            jobs: wjobs,
-            done,
-        });
+        ports.push(NodePort { job, out });
     }
-    (blocks, GraphPorts { tx, rx })
+    (blocks, ports)
 }
 
 /// Pushes into a ring, pumping the graph while it is full. A
@@ -422,12 +443,102 @@ mod tests {
     }
 
     #[test]
-    fn graph_has_three_blocks_per_node() {
+    fn graph_has_one_block_per_node() {
         let park = park_of(2);
         let (blocks, ports) = build_graph(&park, 4);
-        assert_eq!(blocks.len(), 6);
-        assert_eq!(ports.tx.len(), 2);
-        assert_eq!(ports.rx.len(), 2);
+        assert_eq!(blocks.len(), 2);
+        assert_eq!(ports.len(), 2);
+    }
+
+    fn bits_of(wave: &[Cplx]) -> Vec<(u64, u64)> {
+        wave.iter()
+            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+            .collect()
+    }
+
+    /// A TX job for node 0 and an RX job whose window carries node 1's
+    /// frame, plus what the block must answer to each.
+    fn tx_then_rx(park: &NodePark) -> (SynthJob, WindowJob, Vec<Cplx>, String) {
+        use anc_channel::Link;
+        use anc_frame::Header;
+        use anc_node::SynthSource;
+        let job = |src: NodeId, dst: NodeId| SynthJob {
+            source: SynthSource::Frame(Frame::new(
+                Header::new(src, dst, 1, 0),
+                vec![true, false, true, true, false, false, true, false],
+            )),
+            carrier_phase: 0.4,
+            cfo: 0.0,
+        };
+        let tx = job(0, 1);
+        let (wave, other) = {
+            let n0 = park.lock_at(0);
+            let n1 = park.lock_at(1);
+            (
+                synthesize(n0.tx_chain(), &n0.front_end, tx.clone()),
+                synthesize(n1.tx_chain(), &n1.front_end, job(1, 0)),
+            )
+        };
+        let rx = WindowJob {
+            duration: other.len() + 128,
+            noise_power: 1e-4,
+            noise: anc_dsp::DspRng::seed_from(5),
+            transmissions: vec![(std::sync::Arc::new(other), 64, Link::new(0.8, 0.2, 0.0))],
+            tones: Vec::new(),
+            jammer: None,
+            tag: 3,
+        };
+        // The reference receiver is an identical, separately built
+        // node 0, polled on the inline mix of the same job.
+        let mut window = Vec::new();
+        mix_window(rx.clone(), &mut window);
+        let evt = park_of(1).lock_at(0).poll(&window);
+        assert!(matches!(evt, RxEvent::Clean { crc_ok: true, .. }));
+        (tx, rx, wave, format!("{evt:?}"))
+    }
+
+    #[test]
+    fn node_block_answers_jobs_in_fifo_order_bit_identically() {
+        let park = park_of(2);
+        let (tx, rx, wave, evt) = tx_then_rx(&park);
+        let (mut blocks, mut ports) = build_graph(&park, 4);
+        let port = &mut ports[0];
+        assert!(port.job.try_push(NodeJob::Tx(tx)).is_ok());
+        assert!(port.job.try_push(NodeJob::Rx(RxWork::Poll, rx)).is_ok());
+        assert_eq!(blocks[0].poll(), BlockStatus::Progress);
+        let Some(NodeOut::Wave(got)) = port.out.try_pop() else {
+            panic!("the TX job answers first");
+        };
+        assert_eq!(bits_of(&got), bits_of(&wave));
+        let Some(NodeOut::Done(3, RxDone::Evt(got))) = port.out.try_pop() else {
+            panic!("the RX job answers second, with its tag");
+        };
+        assert_eq!(format!("{got:?}"), evt);
+        assert!(port.out.try_pop().is_none());
+    }
+
+    #[test]
+    fn node_block_retries_a_staged_output_at_capacity_one() {
+        let park = park_of(2);
+        let (tx, rx, wave, evt) = tx_then_rx(&park);
+        let (mut blocks, mut ports) = build_graph(&park, 1);
+        let port = &mut ports[0];
+        assert!(port.job.try_push(NodeJob::Tx(tx)).is_ok());
+        assert_eq!(blocks[0].poll(), BlockStatus::Progress);
+        assert!(port.job.try_push(NodeJob::Rx(RxWork::Poll, rx)).is_ok());
+        // The output ring still holds the wave: the RX outcome is
+        // computed but stays staged.
+        assert_eq!(blocks[0].poll(), BlockStatus::Idle);
+        let Some(NodeOut::Wave(got)) = port.out.try_pop() else {
+            panic!("wave first");
+        };
+        assert_eq!(bits_of(&got), bits_of(&wave));
+        assert!(port.out.try_pop().is_none());
+        assert_eq!(blocks[0].poll(), BlockStatus::Progress);
+        let Some(NodeOut::Done(3, RxDone::Evt(got))) = port.out.try_pop() else {
+            panic!("staged outcome delivered on retry");
+        };
+        assert_eq!(format!("{got:?}"), evt);
     }
 
     #[test]
