@@ -12,9 +12,11 @@
 //! 2. Demodulate the clean head with standard MSK and slide-match the
 //!    known frame's pilot to align the known signal with the reception
 //!    (§7.2, Fig. 5).
-//! 3. Locate the interference onset with the energy-variance mask
-//!    (§7.1) and estimate amplitudes: the known signal's `A` from the
-//!    clean prefix, both from Eqs. 5–6 inside the overlap, reconciled.
+//! 3. Locate where the interference starts and ends with the
+//!    energy-variance test (§7.1), evaluated only at the windows that
+//!    decide the two ends ([`SignalDetector::interference_span`]), and
+//!    estimate amplitudes: the known signal's `A` from the clean
+//!    prefix, both from Eqs. 5–6 inside the overlap, reconciled.
 //! 4. Run the Lemma-6.1 + matcher machinery (§6.3) over the overlap,
 //!    yielding the unknown signal's `Δφ` stream; threshold to bits
 //!    (§6.4).
@@ -129,8 +131,9 @@ pub struct DecodeOutcome {
 /// Reusable working memory for the Alg.-1 decode hot path.
 ///
 /// One decode touches several intermediate streams — demodulated head
-/// bits, the interference mask, the known sender's `Δθ_s`, the matcher
-/// output, and (backward decodes) the conjugate-reversed reception.
+/// bits, per-sample energies, the variance window's running sums, the
+/// known sender's `Δθ_s`, the matcher output, and (backward decodes)
+/// the conjugate-reversed reception.
 /// Owning them here lets a receiver amortize every one of those
 /// allocations across a run: after the first packet, a decode performs
 /// a single allocation (the recovered bit vector it returns).
@@ -145,8 +148,9 @@ pub struct DecoderScratch {
     /// Per-sample energies `|y|²` from the SoA lane kernel — feeds the
     /// batched detect stage (DESIGN.md §8).
     energies: Vec<f64>,
-    /// Per-sample interference mask (§7.1).
-    mask: Vec<bool>,
+    /// Running sums of the §7.1 variance window, replayed one refresh
+    /// period at a time to find the interference span.
+    sums: Vec<f64>,
     /// Known sender's per-interval phase differences `Δθ_s` (§6.3).
     known_dtheta: Vec<f64>,
     /// Struct-of-arrays intermediates of the batched §6.3 kernel.
@@ -213,7 +217,7 @@ impl AncDecoder {
         scratch: &mut DecoderScratch,
     ) -> Result<DecodeOutcome, DecodeError> {
         let region = self.detector.detect(rx).ok_or(DecodeError::NoSignal)?;
-        self.decode_in_region(rx, &region, known_bits, scratch)
+        self.decode_forward_in(rx, &region, known_bits, scratch)
     }
 
     /// Decodes the unknown frame when the known frame started
@@ -258,7 +262,10 @@ impl AncDecoder {
         Ok(out)
     }
 
-    fn decode_in_region(
+    /// [`AncDecoder::decode_forward_with`] for a region the caller has
+    /// already classified with [`AncDecoder::classify`] on the same
+    /// `rx`, so the §7.1 detection does not run twice.
+    pub fn decode_forward_in(
         &self,
         rx: &[Cplx],
         region: &ClassifiedSignal,
@@ -292,36 +299,33 @@ impl AncDecoder {
         let known_last = (f0 + known_len).min(samples.len().saturating_sub(1));
 
         // ---- Step 3: interference onset + amplitudes. ----
-        // The variance mask flags the packet's own rise edge (noise →
+        // The variance test flags the packet's own rise edge (noise →
         // signal is a legitimate energy-variance spike), so the onset
         // search starts one detector window past the frame start. The
         // MAC's minimum stagger (≥ one slot ≫ one window, §7.2)
         // guarantees real interference cannot begin that early.
         // Batched detect stage: the |y|² map is one SoA lane pass, then
-        // the variance window consumes precomputed energies.
-        // Bit-identical to `interference_mask_into(samples, ..)`.
+        // the span replays the variance window over those energies.
+        // Bit-identical to the first and last flags of
+        // `interference_mask_into(samples, ..)` in that range.
         energies_into(samples, &mut scratch.energies);
-        self.detector
-            .interference_mask_from_energies(&scratch.energies, &mut scratch.mask);
-        let mask = &scratch.mask;
         let search_from = (f0 + self.cfg.detector.window).min(known_last);
-        let onset = mask[search_from..known_last]
-            .iter()
-            .position(|&m| m)
-            .map(|p| p + search_from)
+        let (onset, overlap_end_mask) = self
+            .detector
+            .interference_span(
+                &scratch.energies,
+                search_from,
+                known_last,
+                &mut scratch.sums,
+            )
             .ok_or(DecodeError::NotInterfered)?;
-        let overlap_end_mask = mask[onset..known_last]
-            .iter()
-            .rposition(|&m| m)
-            .map(|p| p + onset + 1)
-            .unwrap_or(known_last);
 
         // Known-signal amplitude from the clean prefix when available.
         // The prefix excludes a window-length margin before the onset:
-        // the mask's lookback means `onset` can sit up to one window
-        // *early*, i.e. still inside the clean region, but the converse
-        // error (prefix samples that are already interfered) must be
-        // avoided.
+        // the variance window's lookback means `onset` can sit up to one
+        // window *early*, i.e. still inside the clean region, but the
+        // converse error (prefix samples that are already interfered)
+        // must be avoided.
         let w = self.cfg.detector.window;
         let prefix = &samples[..onset.saturating_sub(w)];
         let prefix_hint = if prefix.len() >= self.cfg.min_prefix_for_hint {
@@ -644,6 +648,51 @@ mod tests {
                 (f, r) => panic!("diverged: {f:?} vs {r:?}"),
             }
         }
+    }
+
+    #[test]
+    fn decode_forward_in_matches_decode_forward_with() {
+        // Decoding in a region from `classify` must give exactly what
+        // the self-detecting entry point gives: interfered receptions,
+        // a clean one (NotInterfered) and a wrong known frame.
+        let mut w = World::new(13);
+        let dec = AncDecoder::new(w.cfg);
+        let mut scratch = DecoderScratch::default();
+        let mut receptions = Vec::new();
+        for (i, payload) in [256usize, 128, 300].iter().enumerate() {
+            let (_, kb) = w.frame(1, 2, i as u16, *payload);
+            let (_, ub) = w.frame(2, 1, i as u16, *payload);
+            let rx = w.reception(&kb, &ub, 140 + 31 * i, 1.0, 0.8);
+            receptions.push((rx.clone(), kb.clone()));
+            receptions.push((rx, ub));
+        }
+        let (_, kb) = w.frame(1, 2, 9, 128);
+        let mut rng = w.rng.fork(2);
+        let mut clean: Vec<Cplx> = (0..128).map(|_| rng.complex_gaussian(NOISE)).collect();
+        clean.extend(
+            w.modem
+                .modulate(&kb)
+                .iter()
+                .map(|&s| s + rng.complex_gaussian(NOISE)),
+        );
+        clean.extend((0..128).map(|_| rng.complex_gaussian(NOISE)));
+        receptions.push((clean, kb));
+        let mut outcomes = 0;
+        for (rx, known) in &receptions {
+            let region = dec.classify(rx).expect("signal present");
+            let via_region = dec.decode_forward_in(rx, &region, known, &mut scratch);
+            let detected = dec.decode_forward_with(rx, known, &mut scratch);
+            match (via_region, detected) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.bits, b.bits);
+                    assert_eq!(a.diagnostics, b.diagnostics);
+                    outcomes += 1;
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("diverged: {a:?} vs {b:?}"),
+            }
+        }
+        assert!(outcomes >= 3, "only {outcomes} successful decodes compared");
     }
 
     #[test]

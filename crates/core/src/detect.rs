@@ -54,11 +54,17 @@ pub struct ClassifiedSignal {
     pub start: usize,
     /// One past the last sample index of the region.
     pub end: usize,
-    /// `true` when the §7.1 variance test fired anywhere in the region.
+    /// `true` when the §7.1 variance test fired anywhere in the region
+    /// interior.
     pub interfered: bool,
     /// Mean energy over the region.
     pub mean_energy: f64,
-    /// Peak normalized energy variance observed over the region.
+    /// Normalized energy variance from the §7.1 scan of the region
+    /// interior. For a clean region this is the peak over the whole
+    /// interior. For an interfered region the scan stops at the first
+    /// window above [`DetectorConfig::variance_threshold`], so this is
+    /// that window's value: proof of interference, not the region's
+    /// peak.
     pub peak_normalized_variance: f64,
 }
 
@@ -150,6 +156,9 @@ impl SignalDetector {
             region
         };
         let mean_energy = Cplx::mean_energy(interior);
+        // The verdict is a yes/no, so the scan stops at the first window
+        // that settles it: the running peak only grows, and once it
+        // clears the threshold no later window can change `interfered`.
         let mut vw = VarianceWindow::new(w.max(8));
         let mut peak_nv: f64 = 0.0;
         for &s in interior {
@@ -158,6 +167,9 @@ impl SignalDetector {
                 let (m, var) = vw.mean_and_variance();
                 if m > 0.0 {
                     peak_nv = peak_nv.max(var / (m * m));
+                }
+                if peak_nv > self.cfg.variance_threshold {
+                    break;
                 }
             }
         }
@@ -172,8 +184,12 @@ impl SignalDetector {
 
     /// Per-sample interference mask over a detected region: `true`
     /// where the trailing window's normalized variance exceeds the
-    /// threshold. Used by the decoder to find the interference onset
-    /// (§7.2: where the second packet begins).
+    /// threshold, and at the whole window behind each such sample.
+    ///
+    /// The decoder needs only where the flagged stretch starts and ends
+    /// (§7.2: where the second packet begins), which
+    /// [`SignalDetector::interference_span`] finds without building the
+    /// mask; the mask stays as its reference.
     pub fn interference_mask(&self, region: &[Cplx]) -> Vec<bool> {
         let mut mask = Vec::new();
         self.interference_mask_into(region, &mut mask);
@@ -243,6 +259,73 @@ impl SignalDetector {
                 }
             }
         }
+    }
+
+    /// The decoder's §7.2 interference span from per-sample energies:
+    /// `(onset, overlap_end)` where `onset` is the first flagged index
+    /// in `search_from..known_last` of the mask that
+    /// [`SignalDetector::interference_mask_from_energies`] builds, and
+    /// `overlap_end` is one past the last flagged index before
+    /// `known_last`. `None` when nothing in that range is flagged.
+    ///
+    /// Bit-identical to reading the mask, without building it: the
+    /// O(w) deviation pass runs only at the windows that decide the
+    /// answer, forward from `search_from` to the first window over the
+    /// threshold and backward from the last window that can flag an
+    /// index below `known_last` to the last one over it. The variance
+    /// window's running sums are replayed one refresh period at a time
+    /// into `sums` (reusable scratch, cleared on use).
+    ///
+    /// # Panics
+    /// Panics if `known_last > energies.len()`.
+    pub fn interference_span(
+        &self,
+        energies: &[f64],
+        search_from: usize,
+        known_last: usize,
+        sums: &mut Vec<f64>,
+    ) -> Option<(usize, usize)> {
+        assert!(known_last <= energies.len(), "known_last past the energies");
+        if search_from >= known_last {
+            return None;
+        }
+        let w = self.cfg.window.max(8);
+        // The window ending at `i` flags indices `i + 1 - w ..= i`, so
+        // only windows ending in `w - 1 ..= known_last + w - 2` can flag
+        // an index below `known_last`.
+        let last = (known_last + w - 2).min(energies.len() - 1);
+        let period = VarianceWindow::refresh_period(w);
+        // The first (or, `rev`, the last) window in `lo..=hi` over the
+        // threshold, replaying one refresh period of sums at a time.
+        let mut find = |lo: usize, hi: usize, rev: bool| {
+            let mut in_period = |k: usize| {
+                let (a, b) = ((k * period).max(lo), ((k + 1) * period).min(hi + 1));
+                VarianceWindow::replay_sums_into(w, energies, a..b, sums);
+                let fires = |i: usize| {
+                    let (m, var) =
+                        VarianceWindow::replay_mean_and_variance(w, energies, i, sums[i - a]);
+                    let nv = if m > 0.0 { var / (m * m) } else { 0.0 };
+                    nv > self.cfg.variance_threshold
+                };
+                if rev {
+                    (a..b).rev().find(|&i| fires(i))
+                } else {
+                    (a..b).find(|&i| fires(i))
+                }
+            };
+            let mut periods = lo / period..=hi / period;
+            if rev {
+                periods.rev().find_map(&mut in_period)
+            } else {
+                periods.find_map(&mut in_period)
+            }
+        };
+        let first = find(search_from.max(w - 1), last, false)?;
+        let final_fire = find(first, last, true).unwrap_or(first);
+        Some((
+            (first + 1 - w).max(search_from),
+            (final_fire + 1).min(known_last),
+        ))
     }
 }
 

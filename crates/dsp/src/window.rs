@@ -8,16 +8,18 @@
 //! because a single MSK signal has (nearly) constant energy while two
 //! interfered MSK signals swing between `(A+B)²` and `(A−B)²`.
 //!
-//! Both trackers keep an O(1) running sum for the mean, refreshed from
-//! the ring buffer on a fixed schedule so drift over long streams stays
-//! bounded. The variance tracker computes squared deviations *about
+//! Both trackers keep an O(1) running sum over a flat ring buffer for
+//! the mean. The variance tracker refreshes it from the ring on a fixed
+//! schedule so drift over long streams stays bounded; the energy
+//! tracker recomputes it only when cancellation drives it negative.
+//! The variance tracker computes squared deviations *about
 //! that mean* in a single buffer pass per query — unlike the naive
 //! sliding `E[x²]−E[x]²`, the deviation form cannot cancel
 //! catastrophically (an off-by-δ mean inflates the variance by only
 //! δ², and δ is pinned to a few ulps by the refresh).
 
 use crate::cplx::Cplx;
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Sliding-window mean of sample energy `|y[n]|²`.
 ///
@@ -25,7 +27,13 @@ use std::collections::VecDeque;
 /// noise floor (in dB) to decide whether a transmission is present.
 #[derive(Debug, Clone)]
 pub struct EnergyWindow {
-    buf: VecDeque<f64>,
+    /// Flat ring storage, laid out as in [`VarianceWindow`]: grows to
+    /// `cap` during warmup, then wraps at `pos`. The §7.1 packet search
+    /// pushes every sample of every reception through this window, so
+    /// the push avoids `VecDeque`'s head/tail bookkeeping.
+    ring: Vec<f64>,
+    /// Next write index once the ring is full (oldest element).
+    pos: usize,
     cap: usize,
     sum: f64,
 }
@@ -38,7 +46,8 @@ impl EnergyWindow {
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 1, "window capacity must be at least 1");
         EnergyWindow {
-            buf: VecDeque::with_capacity(cap),
+            ring: Vec::with_capacity(cap),
+            pos: 0,
             cap,
             sum: 0.0,
         }
@@ -57,52 +66,57 @@ impl EnergyWindow {
     #[inline]
     pub fn push_energy(&mut self, energy: f64) {
         let energy = if energy.is_finite() { energy } else { 0.0 };
-        if self.buf.len() == self.cap {
-            if let Some(old) = self.buf.pop_front() {
-                self.sum -= old;
+        if self.ring.len() < self.cap {
+            self.ring.push(energy);
+        } else {
+            self.sum -= self.ring[self.pos];
+            self.ring[self.pos] = energy;
+            self.pos += 1;
+            if self.pos == self.cap {
+                self.pos = 0;
             }
         }
-        self.buf.push_back(energy);
         self.sum += energy;
-        // Defensive: over very long streams the incremental sum drifts;
-        // refresh it cheaply whenever the buffer wraps a large number of
-        // times would be overkill, but clamping tiny negatives is needed.
+        // Cancellation in the incremental sum can leave a tiny
+        // negative; recompute it exactly, summing oldest to newest.
         if self.sum < 0.0 {
-            self.sum = self.buf.iter().sum();
+            let (newer, older) = self.ring.split_at(self.pos);
+            self.sum = older.iter().chain(newer).sum();
         }
     }
 
     /// Current number of samples held (≤ capacity).
     #[inline]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// `true` when no samples have been pushed.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// `true` once the window has been fully populated.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.buf.len() == self.cap
+        self.ring.len() == self.cap
     }
 
     /// Mean energy over the window; 0 when empty.
     #[inline]
     pub fn mean(&self) -> f64 {
-        if self.buf.is_empty() {
+        if self.ring.is_empty() {
             0.0
         } else {
-            (self.sum / self.buf.len() as f64).max(0.0)
+            (self.sum / self.ring.len() as f64).max(0.0)
         }
     }
 
     /// Clears the window.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.ring.clear();
+        self.pos = 0;
         self.sum = 0.0;
     }
 }
@@ -265,6 +279,93 @@ impl VarianceWindow {
         self.pos = 0;
         self.sum = 0.0;
         self.until_refresh = REFRESH_INTERVAL_CAPS * self.cap;
+    }
+
+    /// Pushes between exact recomputations of the running sum of a
+    /// window holding `cap` energies: the sum is the exact window total
+    /// after every push whose count is a multiple of this.
+    pub const fn refresh_period(cap: usize) -> usize {
+        REFRESH_INTERVAL_CAPS * cap
+    }
+
+    /// The running sums a `VarianceWindow::new(cap)` holds while it is
+    /// fed `energies` in order, at the pushes in `range`: `sums[k]` is
+    /// its sum right after the push of `energies[range.start + k]`
+    /// (`sums` is cleared, then filled to `range.len()`).
+    ///
+    /// Together with [`VarianceWindow::replay_mean_and_variance`] this
+    /// answers the window's query at any position without running the
+    /// O(cap) deviation pass at every earlier one. The replay starts at
+    /// the last refresh before `range.start`, whose sum depends only on
+    /// the window's own energies, so it costs O(1) per sample of
+    /// `range` plus at most one [`VarianceWindow::refresh_period`], and
+    /// is bit-identical to the live window's sums.
+    ///
+    /// # Panics
+    /// Panics if `cap < 2` or `range.end > energies.len()`.
+    pub fn replay_sums_into(
+        cap: usize,
+        energies: &[f64],
+        range: Range<usize>,
+        sums: &mut Vec<f64>,
+    ) {
+        assert!(cap >= 2, "variance window needs at least 2 samples");
+        assert!(
+            range.end <= energies.len(),
+            "replay range past the energies"
+        );
+        let clean = |e: f64| if e.is_finite() { e } else { 0.0 };
+        // A refresh falls after a multiple of `cap` pushes, when the
+        // ring's storage order is oldest to newest.
+        let exact = |t: usize| -> f64 { energies[t + 1 - cap..=t].iter().map(|&e| clean(e)).sum() };
+        let period = Self::refresh_period(cap);
+        let from = range.start - range.start % period;
+        let mut sum = if from == 0 { 0.0 } else { exact(from - 1) };
+        sums.clear();
+        for t in from..range.end {
+            if t >= cap {
+                sum -= clean(energies[t - cap]);
+            }
+            sum += clean(energies[t]);
+            if (t + 1) % period == 0 {
+                sum = exact(t);
+            }
+            if t >= range.start {
+                sums.push(sum);
+            }
+        }
+    }
+
+    /// [`VarianceWindow::mean_and_variance`] of a full
+    /// `VarianceWindow::new(cap)` fed `energies[..=i]`, given its
+    /// running sum `sum` after that push (from
+    /// [`VarianceWindow::replay_sums_into`]). Bit-identical: the
+    /// deviation pass visits the window's energies in the ring's
+    /// storage order, with the same four accumulators.
+    ///
+    /// # Panics
+    /// Panics if `cap < 2`, `i + 1 < cap` (the window is not yet full)
+    /// or `i >= energies.len()`.
+    pub fn replay_mean_and_variance(
+        cap: usize,
+        energies: &[f64],
+        i: usize,
+        sum: f64,
+    ) -> (f64, f64) {
+        assert!(cap >= 2, "variance window needs at least 2 samples");
+        let window = &energies[i + 1 - cap..=i];
+        let mean = sum / cap as f64;
+        // Storage slot `t % cap` holds energy `t`, so the ring starts at
+        // the window's `(i + 1) % cap` newest entries.
+        let (older, newer) = window.split_at(cap - (i + 1) % cap);
+        let mut acc = [0.0f64; 4];
+        for (j, &e) in newer.iter().chain(older).enumerate() {
+            let e = if e.is_finite() { e } else { 0.0 };
+            let d = e - mean;
+            acc[j % 4] = d.mul_add(d, acc[j % 4]);
+        }
+        let var = ((acc[0] + acc[1]) + (acc[2] + acc[3])) / cap as f64;
+        (mean, var.max(0.0))
     }
 }
 

@@ -15,7 +15,10 @@
 //! For samples one symbol apart, the ratio
 //! `r = y[n+S]/y[n] = e^{i(θ[n+S]−θ[n])}` (Eq. 1) is invariant to both
 //! the channel attenuation `h` and phase shift `γ`. The receiver maps
-//! `arg(r) ≥ 0 → 1` and `< 0 → 0`.
+//! `arg(r) ≥ 0 → 1` and `< 0 → 0`. Only the sign matters, so the hard
+//! demodulator reads it off `r` directly ([`Cplx::arg_is_non_negative`])
+//! and never computes the `atan2`; [`MskModem::demodulate_soft`] keeps
+//! the angle and is the reference the hard path is tested against.
 
 use crate::Modem;
 use anc_dsp::Cplx;
@@ -197,11 +200,11 @@ impl Modem for MskModem {
     }
 
     fn demodulate(&self, samples: &[Cplx]) -> Vec<bool> {
-        // §5.3 / §6.4 decision rule: Δθ ≥ 0 → "1", else "0".
-        self.demodulate_soft(samples)
-            .into_iter()
-            .map(|dphi| dphi >= 0.0)
-            .collect()
+        // §5.3 / §6.4 decision rule, read off the quotient's sign
+        // without an atan2 (see `demodulate_extend`).
+        let mut bits = Vec::new();
+        self.demodulate_into(samples, &mut bits);
+        bits
     }
 
     fn samples_per_symbol(&self) -> usize {

@@ -173,32 +173,47 @@ impl RxChain {
         std::mem::swap(&mut self.scratch, other);
     }
 
-    /// Reads the header near a bit stream's head: pilot located by
-    /// best correlation, header follows it.
-    fn read_head_header(&self, bits: &[bool]) -> Option<Header> {
-        let p = self.frame_cfg.pilot_len;
-        let pilot = pilot_sequence(p);
-        let search = (p + HEADER_BITS + 512).min(bits.len());
-        let (off, _err) =
-            best_match_bounded(&bits[..search], &pilot, self.frame_cfg.pilot_max_errors)?;
-        if off + p + HEADER_BITS > bits.len() {
-            return None;
-        }
-        Header::from_bits(&bits[off + p..off + p + HEADER_BITS])
+    /// Bits at a stream's head searched for the pilot.
+    fn pilot_search_bits(&self) -> usize {
+        self.frame_cfg.pilot_len + HEADER_BITS + 512
     }
 
-    /// Reads the mirrored header near a bit stream's tail by reversing
-    /// and reusing the head reader.
-    fn read_tail_header(&self, bits: &[bool]) -> Option<Header> {
-        let rev: Vec<bool> = bits.iter().rev().copied().collect();
-        self.read_head_header(&rev)
+    /// Reads the header near the head of a demodulated stream of
+    /// `total` bits, given its first bits `head`: pilot located by best
+    /// correlation, header follows it.
+    fn read_head_header(&self, head: &[bool], total: usize) -> Option<Header> {
+        let p = self.frame_cfg.pilot_len;
+        let pilot = pilot_sequence(p);
+        let search = self.pilot_search_bits().min(head.len());
+        let (off, _err) =
+            best_match_bounded(&head[..search], &pilot, self.frame_cfg.pilot_max_errors)?;
+        if off + p + HEADER_BITS > total {
+            return None;
+        }
+        Header::from_bits(&head[off + p..off + p + HEADER_BITS])
     }
 
     /// Recovers both headers of an interfered region (§7.5): the first
-    /// packet's from the clean head, the second's from the clean tail.
+    /// packet's from the clean head, the second's (mirrored) from the
+    /// clean tail.
+    ///
+    /// Only the two ends are demodulated: bit `k` depends on samples
+    /// `k·S` and `(k+1)·S` alone, so each end's bits come out as if the
+    /// whole region had been demodulated.
     pub fn peek_headers(&self, region: &[Cplx]) -> (Option<Header>, Option<Header>) {
-        let bits = self.modem.demodulate(region);
-        (self.read_head_header(&bits), self.read_tail_header(&bits))
+        let s = self.modem.config().samples_per_symbol;
+        let total = region.len().saturating_sub(1) / s;
+        // The header may start where the pilot search window ends.
+        let m = (self.pilot_search_bits() + HEADER_BITS).min(total);
+        let head = self
+            .modem
+            .demodulate(&region[..(m * s + 1).min(region.len())]);
+        let mut tail = self.modem.demodulate(&region[(total - m) * s..]);
+        tail.reverse();
+        (
+            self.read_head_header(&head, total),
+            self.read_head_header(&tail, total),
+        )
     }
 
     /// The full Alg.-1 receive path for one reception window.
@@ -233,9 +248,12 @@ impl RxChain {
             } => {
                 let known_frame = buffer.get(&known).expect("policy checked membership");
                 let known_bits = known_frame.to_bits(&self.frame_cfg);
+                // A forward decode reuses the classification above; a
+                // backward one classifies the conjugate-reversed stream,
+                // which can differ.
                 let result = if known_starts_first {
                     self.decoder
-                        .decode_forward_with(rx, &known_bits, &mut self.scratch)
+                        .decode_forward_in(rx, &region, &known_bits, &mut self.scratch)
                 } else {
                     self.decoder
                         .decode_backward_with(rx, &known_bits, &mut self.scratch)
@@ -435,6 +453,93 @@ mod tests {
         match rxc.process(&rx_samples, &buf, &RouterPolicy::new()) {
             RxEvent::Dropped(DropReason::NoSignal) => {}
             other => panic!("expected NoSignal, got {other:?}"),
+        }
+    }
+
+    /// Both headers from the whole region's bits, the tail's read from
+    /// a reversed copy.
+    fn peek_headers_full_demod(rxc: &RxChain, region: &[Cplx]) -> (Option<Header>, Option<Header>) {
+        let bits = rxc.modem.demodulate(region);
+        let rev: Vec<bool> = bits.iter().rev().copied().collect();
+        (
+            rxc.read_head_header(&bits, bits.len()),
+            rxc.read_head_header(&rev, rev.len()),
+        )
+    }
+
+    #[test]
+    fn peek_headers_matches_full_demodulation() {
+        // Regions longer and shorter than the two header windows
+        // together (704 bits each), at 1, 2 and 4 samples per bit, and
+        // every kind of cut: empty, under one symbol, mid-window.
+        let mut rng = DspRng::seed_from(9);
+        let mut both_found = 0;
+        for sps in [1usize, 2, 4] {
+            let tx = TxChain::with_oversampling(FrameConfig::default(), sps);
+            let rxc = RxChain::with_oversampling(decoder_cfg(), sps);
+            for payload in [64usize, 256, 1024] {
+                let fa = make_frame(&mut rng, 1, 2, 3, payload);
+                let fb = make_frame(&mut rng, 2, 1, 5, payload);
+                let stagger = 150 * sps;
+                let rx = reception(
+                    &mut rng,
+                    &tx,
+                    &[(&fa, 0, 1.0, 0.0), (&fb, stagger, 0.9, 0.01)],
+                );
+                let region = &rx[128..];
+                let n = region.len();
+                let full = peek_headers_full_demod(&rxc, region);
+                assert_eq!(
+                    rxc.peek_headers(region),
+                    full,
+                    "sps {sps} payload {payload}"
+                );
+                if full.0.is_some() && full.1.is_some() {
+                    both_found += 1;
+                }
+                for cut in [
+                    0,
+                    1,
+                    sps,
+                    sps + 1,
+                    700 * sps,
+                    1408 * sps,
+                    1409 * sps + 1,
+                    n / 2,
+                ] {
+                    let cut = cut.min(n);
+                    for part in [&region[..cut], &region[n - cut..]] {
+                        assert_eq!(
+                            rxc.peek_headers(part),
+                            peek_headers_full_demod(&rxc, part),
+                            "sps {sps} payload {payload} cut {cut}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            both_found >= 6,
+            "only {both_found} receptions had both headers"
+        );
+
+        // Pilots at the far edge of each search window: the header then
+        // ends on the last bit an end's read demodulates.
+        let p = FrameConfig::default().pilot_len;
+        let header = Header::new(4, 7, 11, 0);
+        let mut bits = rng.bits(HEADER_BITS + 512);
+        bits.extend(pilot_sequence(p));
+        bits.extend(header.to_bits());
+        bits.extend(rng.bits(40));
+        bits.extend(header.to_bits().iter().rev());
+        bits.extend(pilot_sequence(p).iter().rev());
+        bits.extend(rng.bits(HEADER_BITS + 512));
+        for sps in [1usize, 2, 4] {
+            let rxc = RxChain::with_oversampling(decoder_cfg(), sps);
+            let region = rxc.modem.modulate(&bits);
+            let peeked = rxc.peek_headers(&region);
+            assert_eq!(peeked, (Some(header), Some(header)), "sps {sps}");
+            assert_eq!(peeked, peek_headers_full_demod(&rxc, &region));
         }
     }
 
