@@ -5,10 +5,7 @@
 use anc_bench::fixtures::{fixture_detector, interfered_stream};
 use anc_core::amplitude::estimate_amplitudes;
 use anc_core::lemma::{solve_phases, LemmaKernel};
-use anc_core::matcher::{
-    match_bits_batch, match_phase_differences, match_phase_differences_into, MatchBatchScratch,
-    MatchOutput,
-};
+use anc_core::matcher::{match_bits_batch, match_phase_differences, MatchBatchScratch};
 use anc_dsp::batch::energies_into;
 use anc_dsp::{Cplx, DspRng};
 use anc_modem::{Modem, MskModem};
@@ -53,13 +50,6 @@ fn bench_matcher(c: &mut Criterion) {
                 1.0,
                 1.0,
             ))
-        })
-    });
-    let mut out = MatchOutput::default();
-    g.bench_function("match_4k_symbols_fused", |b| {
-        b.iter(|| {
-            match_phase_differences_into(black_box(&rx), black_box(&dtheta), 1.0, 1.0, &mut out);
-            black_box(out.dphi.len())
         })
     });
     // The SoA batch kernel (DESIGN.md §8): solve every interval's

@@ -12,7 +12,7 @@
 
 use anc_bench::{emit, experiment_config, from_env};
 use anc_sim::experiments::{alice_bob, chain, sir_sweep, x_topology, SirSweepConfig};
-use anc_sim::report::ExperimentReport;
+use anc_sim::report::{ExperimentReport, FigureSeries};
 use anc_sim::runs::RunConfig;
 
 fn main() {
@@ -61,6 +61,14 @@ fn main() {
         let key = format!("ber_at_sir_{:+.0}db", p.sir_db);
         report.stat(&key, p.mean_ber);
     }
+    report.push_series(FigureSeries::sweep(
+        "sir_floor",
+        "sir_db",
+        &["mean_ber", "decode_rate"],
+        sir.iter()
+            .map(|p| vec![p.sir_db, p.mean_ber, p.decode_rate])
+            .collect(),
+    ));
 
     println!("# §11.3 Summary of Results (paper value in parentheses)");
     println!(

@@ -46,7 +46,6 @@ pub use decoder::{AncDecoder, DecodeOutcome, DecoderConfig, DecoderScratch};
 pub use detect::{ClassifiedSignal, DetectorConfig, SignalDetector};
 pub use lemma::{solve_phases, CandidateBatch, LemmaKernel, PhasePair, PhaseSolutions};
 pub use matcher::{
-    match_bits_batch, match_bits_into, match_phase_differences, match_phase_differences_into,
-    MatchBatchScratch, MatchOutput,
+    match_bits_batch, match_bits_into, match_phase_differences, MatchBatchScratch, MatchOutput,
 };
 pub use router::{RouterAction, RouterPolicy};

@@ -16,7 +16,7 @@
 //! difference for that interval.
 
 use crate::lemma::{solve_phases, CandidateBatch, LemmaKernel, PhaseSolutions};
-use anc_dsp::angle::{circular_diff, circular_distance, wrap_pi};
+use anc_dsp::angle::{circular_diff, circular_distance};
 use anc_dsp::{Cplx, CplxBatch};
 
 /// Output of the matcher over a run of samples.
@@ -37,13 +37,6 @@ impl MatchOutput {
     /// Hard bit decisions per §6.4: `Δφ ≥ 0 → 1`.
     pub fn bits(&self) -> Vec<bool> {
         self.dphi.iter().map(|&d| d >= 0.0).collect()
-    }
-
-    /// Clears the three streams, keeping their capacity.
-    pub fn clear(&mut self) {
-        self.dphi.clear();
-        self.dtheta.clear();
-        self.err.clear();
     }
 
     /// Mean matching residual (diagnostic).
@@ -116,77 +109,9 @@ pub fn match_phase_differences(y: &[Cplx], known_dtheta: &[f64], a: f64, b: f64)
     out
 }
 
-/// The fused §6.3 batch kernel: Lemma 6.1 + candidate matching over a
-/// whole slice, writing into a caller-owned [`MatchOutput`] (cleared
-/// first, capacity kept).
-///
-/// Same contract as [`match_phase_differences`] and the decoder's
-/// production path; the scalar function remains the reference
-/// implementation the proptest suite checks this kernel against.
-///
-/// Why it is faster, at identical decisions:
-///
-/// * The A/B-dependent constants are hoisted into a [`LemmaKernel`]
-///   built once per call, and no `PhaseSolutions`/`PhasePair` structs
-///   are materialized per sample.
-/// * Lemma 6.1's solutions are kept as *unnormalized vectors*
-///   `u ∥ e^{iθ}`, `v ∥ e^{iφ}` (see
-///   [`LemmaKernel::candidate_vectors`]), so a candidate phase
-///   difference is a complex product `u'·conj(u)` instead of two
-///   `atan2` calls.
-/// * Eq. 8's argmin of circular distance is evaluated as an argmax of
-///   `cos(Δθ_xy − Δθ_s) · |u'||u|`: the cosine is monotone in
-///   circular distance on `[0, π]` and the `|u'||u|` scale factor is
-///   identical for all four candidates (the two branch vectors of one
-///   sample are mirror images, hence equal in magnitude), so the
-///   winner is the same — for one fused multiply-add per candidate.
-/// * Only the winning candidate's `Δθ`/`Δφ` are converted to angles:
-///   two `atan2` per interval instead of four per sample.
-///
-/// The emitted `dphi`/`dtheta`/`err` agree with the reference to
-/// floating-point rounding (`arg(u'·conj(u))` versus
-/// `wrap(arg(u') − arg(u))`); the decided *bits* agree exactly except
-/// on intervals whose decision margin is below ~1 ulp — configurations
-/// that are genuinely ambiguous (`|Δφ| ≈ 0`, degenerate `D = ±1`
-/// ties), where no decision rule is meaningful. The equivalence suite
-/// in `tests/proptest_core.rs` pins this down.
-pub fn match_phase_differences_into(
-    y: &[Cplx],
-    known_dtheta: &[f64],
-    a: f64,
-    b: f64,
-    out: &mut MatchOutput,
-) {
-    let kernel = LemmaKernel::new(a, b);
-    out.clear();
-    let intervals = known_dtheta.len().min(y.len().saturating_sub(1));
-    if intervals == 0 {
-        return;
-    }
-    out.dphi.reserve(intervals);
-    out.dtheta.reserve(intervals);
-    out.err.reserve(intervals);
-    let (mut pu, mut pv, _) = kernel.candidate_vectors(y[0]);
-    let mut sel = CandidateSelector::new(kernel);
-    for (&yn, &known) in y[1..=intervals].iter().zip(known_dtheta) {
-        let step = sel.step(yn, known, &pu);
-        // Only the winner is converted to angles: `m·conj(pu)` points
-        // along Δθ_xy − Δθ_s, so its argument *is* the signed residual.
-        let residual = step.residual_vector(&pu).arg();
-        let dphi = step.dphi_vector(&pv).arg();
-        out.dphi.push(dphi);
-        out.dtheta.push(wrap_pi(residual + known));
-        out.err.push(residual.abs());
-        pu = step.nu;
-        pv = step.nv;
-    }
-}
-
-/// The fused kernels' shared per-interval decision: Lemma-6.1
-/// candidate vectors for the next sample, pre-rotated by `e^{-iΔθ_s}`,
-/// scored against the previous sample's candidates. One copy of the
-/// selection logic keeps [`match_phase_differences_into`] and
-/// [`match_bits_into`] decision-identical by construction.
+/// [`match_bits_into`]'s per-interval decision: Lemma-6.1 candidate
+/// vectors for the next sample, pre-rotated by `e^{-iΔθ_s}`, scored
+/// against the previous sample's candidates.
 struct CandidateSelector {
     kernel: LemmaKernel,
     // Memoized `e^{-i·Δθ_s}`: MSK streams draw Δθ_s from {±π/2}, so
@@ -276,13 +201,27 @@ fn arg_is_non_negative(q: Cplx) -> bool {
 /// (appended to `bits`) and the per-interval matching residual
 /// `|Δθ_chosen − Δθ_s|` (into `err`, cleared first).
 ///
-/// Identical candidate selection to [`match_phase_differences_into`],
-/// but the unknown sender's bit is read off the *sign* of the winning
-/// `Δφ` vector product — exactly reproducing `Δφ ≥ 0`, signed zeros
-/// included — so the per-interval `atan2` for `Δφ`'s magnitude (and
-/// the `Δθ` bookkeeping stream) disappears entirely. Bits are
-/// bit-identical to `match_phase_differences(..).bits()`; residuals
-/// agree to floating-point rounding.
+/// Same contract as [`match_phase_differences`], the scalar reference
+/// the proptest suite checks this kernel against. Why it is faster, at
+/// identical decisions:
+///
+/// * The A/B-dependent constants are hoisted into a [`LemmaKernel`]
+///   built once per call, and Lemma 6.1's solutions are kept as
+///   *unnormalized vectors* `u ∥ e^{iθ}`, `v ∥ e^{iφ}` (see
+///   [`LemmaKernel::candidate_vectors`]), so a candidate phase
+///   difference is a complex product `u'·conj(u)` instead of two
+///   `atan2` calls.
+/// * Eq. 8's argmin of circular distance is evaluated as an argmax of
+///   `cos(Δθ_xy − Δθ_s) · |u'||u|`: the cosine is monotone in
+///   circular distance on `[0, π]` and the scale factor is identical
+///   for all four candidates, so the winner is the same — for one
+///   fused multiply-add per candidate.
+/// * The unknown sender's bit is read off the *sign* of the winning
+///   `Δφ` vector product — exactly reproducing `Δφ ≥ 0`, signed zeros
+///   included — so only the residual needs an `atan2`.
+///
+/// Bits are bit-identical to `match_phase_differences(..).bits()`;
+/// residuals agree to floating-point rounding.
 pub fn match_bits_into(
     y: &[Cplx],
     known_dtheta: &[f64],
@@ -610,39 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernel_agrees_with_reference() {
-        // Same decisions, same streams to rounding, across noisy and
-        // noiseless operating points (the broad randomized sweep lives
-        // in tests/proptest_core.rs).
-        for (seed, a, b, noise) in [
-            (21u64, 1.0, 1.0, 0.0),
-            (22, 1.0, 0.6, 0.0),
-            (23, 1.0, 0.8, 0.0164),
-            (24, 0.7, 1.3, 0.005),
-        ] {
-            let (rx, _, _, dtheta) = scenario(a, b, 800, seed, noise);
-            let reference = match_phase_differences(&rx, &dtheta, a, b);
-            let mut fused = MatchOutput::default();
-            fused.dphi.push(9.9); // must be cleared
-            match_phase_differences_into(&rx, &dtheta, a, b, &mut fused);
-            assert_eq!(fused.bits(), reference.bits(), "seed {seed}");
-            for n in 0..reference.dphi.len() {
-                assert!(
-                    circular_distance(fused.dphi[n], reference.dphi[n]) < 1e-9,
-                    "dphi[{n}]: {} vs {}",
-                    fused.dphi[n],
-                    reference.dphi[n]
-                );
-                assert!(
-                    circular_distance(fused.dtheta[n], reference.dtheta[n]) < 1e-9,
-                    "dtheta[{n}]"
-                );
-                assert!((fused.err[n] - reference.err[n]).abs() < 1e-9, "err[{n}]");
-            }
-        }
-    }
-
-    #[test]
     fn bits_kernel_agrees_with_reference() {
         for (seed, a, b, noise) in [
             (31u64, 1.0, 1.0, 0.0),
@@ -718,8 +624,6 @@ mod tests {
         rx[20] = Cplx::new(0.1, f64::NAN);
         dtheta[40] = f64::NAN;
         let reference = match_phase_differences(&rx, &dtheta, 1.0, 0.8);
-        let mut fused = MatchOutput::default();
-        match_phase_differences_into(&rx, &dtheta, 1.0, 0.8, &mut fused);
         let (mut err_f, mut bits_f) = (Vec::new(), Vec::new());
         match_bits_into(&rx, &dtheta, 1.0, 0.8, &mut err_f, &mut bits_f);
         let mut scratch = MatchBatchScratch::default();
@@ -733,7 +637,6 @@ mod tests {
             &mut err_b,
             &mut bits_b,
         );
-        assert_eq!(reference.bits(), fused.bits());
         assert_eq!(reference.bits(), bits_f);
         assert_eq!(reference.bits(), bits_b);
         // Poisoned intervals: samples 10 and 20 hit intervals {9, 10}
@@ -742,7 +645,6 @@ mod tests {
         // the bit false.
         for k in [9usize, 10, 19, 20, 40] {
             assert!(reference.err[k].is_nan(), "reference err[{k}]");
-            assert!(fused.err[k].is_nan(), "fused err[{k}]");
             assert!(err_f[k].is_nan(), "bits-kernel err[{k}]");
             assert!(err_b[k].is_nan(), "batch err[{k}]");
         }
@@ -775,13 +677,6 @@ mod tests {
 
     #[test]
     fn fused_kernel_handles_empty_and_short_inputs() {
-        let mut out = MatchOutput::default();
-        match_phase_differences_into(&[], &[FRAC_PI_2], 1.0, 1.0, &mut out);
-        assert!(out.dphi.is_empty());
-        match_phase_differences_into(&[Cplx::ONE], &[FRAC_PI_2], 1.0, 1.0, &mut out);
-        assert!(out.dphi.is_empty());
-        match_phase_differences_into(&[Cplx::ONE, Cplx::I], &[], 1.0, 1.0, &mut out);
-        assert!(out.dphi.is_empty());
         let (mut err, mut bits) = (vec![1.0], Vec::new());
         match_bits_into(&[Cplx::ONE], &[FRAC_PI_2], 1.0, 1.0, &mut err, &mut bits);
         assert!(err.is_empty() && bits.is_empty());

@@ -1989,6 +1989,12 @@ impl CityRunBuilder {
                 cfg.pause
             )));
         }
+        if !cfg.noise_power.is_finite() || cfg.noise_power <= 0.0 {
+            return Err(CityError::InvalidConfig(format!(
+                "noise_power must be finite and positive, got {}",
+                cfg.noise_power
+            )));
+        }
         if cfg.velocity > 0.0 && cfg.layout != CityLayout::RandomWaypoint {
             return Err(CityError::InvalidConfig(
                 "velocity > 0 requires the random-waypoint layout".into(),
@@ -2360,6 +2366,17 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("carrier-sense"));
+        for noise_power in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            let mut cfg = small(1);
+            cfg.noise_power = noise_power;
+            assert!(
+                build(&cfg, Scheme::Anc)
+                    .unwrap_err()
+                    .to_string()
+                    .contains("noise_power"),
+                "noise_power {noise_power}"
+            );
+        }
     }
 
     #[test]

@@ -82,6 +82,6 @@ pub use metrics::{FlowMetrics, OutageRecord, RunMetrics, StatDigest, ThroughputA
 pub use monte_carlo::{monte_carlo, Ci, MonteCarloConfig, MonteCarloResult};
 pub use pipeline::{RunCtx, SchedMode, SchedulerSpec};
 pub use report::{ExperimentReport, FigureSeries};
-pub use runs::{run_spec, Run, RunBuilder, RunConfig, Scenario};
+pub use runs::{run_spec, Run, RunBuilder, RunConfig};
 pub use scenario::{MeshConfig, ScenarioError, ScenarioSpec};
 pub use topology::{LinkSpec, Topology, TopologyGraph, TopologyKind};

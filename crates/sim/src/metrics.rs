@@ -17,10 +17,12 @@ use serde::{Deserialize, Serialize};
 
 /// O(1) streaming summary of one sample stream: Welford
 /// count/mean/M2, min/max, and fixed-size P² estimators for the
-/// median and the 99th percentile. This is the streaming-metrics
-/// pillar's storage unit — a city-scale run pushes millions of ACK
-/// latencies (or BERs) through a digest instead of growing an
-/// unbounded `Vec<f64>` ledger.
+/// median and the 99th percentile. This is the city engine's
+/// per-run store ([`crate::city::CityOutcome`]'s latency and BER): a
+/// 100k-node run pushes millions of ACK latencies (or BERs) through a
+/// digest instead of growing an unbounded `Vec<f64>` ledger. Scenario
+/// runs do not use it: they keep exact per-packet ledgers in
+/// [`RunMetrics`].
 ///
 /// NaN observations are skipped (the ledger NaN-sentinel convention);
 /// quantile accessors report NaN when empty, `mean()` reports NaN
@@ -86,15 +88,6 @@ impl StatDigest {
         }
     }
 
-    /// Sum of observations (count × mean); 0 when empty.
-    pub fn sum(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean * self.count as f64
-        }
-    }
-
     /// Population variance; 0 with fewer than two observations.
     pub fn variance(&self) -> f64 {
         if self.count < 2 {
@@ -131,48 +124,6 @@ impl StatDigest {
     /// Streaming 99th-percentile estimate; NaN when empty.
     pub fn p99(&self) -> f64 {
         self.p99.value()
-    }
-}
-
-// Hand-written: an empty digest's ±∞ min/max cannot travel through JSON, so they are omitted.
-impl Serialize for StatDigest {
-    fn to_value(&self) -> serde::Value {
-        let mut obj = std::collections::BTreeMap::new();
-        obj.insert("count".to_string(), self.count.to_value());
-        obj.insert("mean".to_string(), self.mean.to_value());
-        obj.insert("m2".to_string(), self.m2.to_value());
-        if self.count > 0 {
-            obj.insert("min".to_string(), self.min.to_value());
-            obj.insert("max".to_string(), self.max.to_value());
-        }
-        obj.insert("p50".to_string(), self.p50.to_value());
-        obj.insert("p99".to_string(), self.p99.to_value());
-        serde::Value::Object(obj)
-    }
-}
-
-impl Deserialize for StatDigest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::type_mismatch("object", v));
-        };
-        let get = |key: &str| obj.get(key).ok_or_else(|| serde::Error::missing_field(key));
-        let count: u64 = Deserialize::from_value(get("count")?)?;
-        let opt = |key: &str, empty: f64| -> Result<f64, serde::Error> {
-            match obj.get(key) {
-                Some(v) => Deserialize::from_value(v),
-                None => Ok(empty),
-            }
-        };
-        Ok(StatDigest {
-            count,
-            mean: Deserialize::from_value(get("mean")?)?,
-            m2: Deserialize::from_value(get("m2")?)?,
-            min: opt("min", f64::INFINITY)?,
-            max: opt("max", f64::NEG_INFINITY)?,
-            p50: Deserialize::from_value(get("p50")?)?,
-            p99: Deserialize::from_value(get("p99")?)?,
-        })
     }
 }
 
@@ -274,29 +225,14 @@ pub struct FlowMetrics {
     /// policy (`FaultSpec::drop_queue_on_crash`) — losses attributable
     /// to node churn rather than the channel. Subset of `dropped`.
     pub lost_to_churn: usize,
-    /// Streaming mode: when set, per-packet latencies feed only the
-    /// O(1) [`StatDigest`] and `latency_samples` stays empty — the
-    /// city-scale memory contract. Off by default (exact ledgers are
-    /// the reference behavior; goldens and small paper runs keep
-    /// them). Absent from metrics captured before the streaming
-    /// layer, so it defaults.
-    #[serde(default)]
-    pub streaming: bool,
-    /// O(1) streaming summary of ACK latencies. Always fed (the cost
-    /// is constant), so run-level summaries work in either mode.
-    #[serde(default)]
-    pub latency_stats: StatDigest,
 }
 
 impl FlowMetrics {
-    /// Records one ACK latency observation: the digest always
-    /// advances; the exact ledger grows only outside streaming mode.
+    /// Records one ACK latency observation.
     pub fn record_latency(&mut self, latency: f64) {
-        self.latency_stats.push(latency);
-        if !self.streaming {
-            self.latency_samples.push(latency);
-        }
+        self.latency_samples.push(latency);
     }
+
     /// Fraction of offered packets acknowledged (0 when none offered).
     pub fn delivery_rate(&self) -> f64 {
         if self.offered == 0 {
@@ -307,36 +243,18 @@ impl FlowMetrics {
     }
 
     /// Mean ACK latency in samples (NaN when nothing was delivered).
-    /// Exact-ledger samples win when present (bit-compatible with the
-    /// pre-streaming behavior); streaming flows answer from the
-    /// digest.
     pub fn mean_latency(&self) -> f64 {
-        if !self.latency_samples.is_empty() {
-            self.latency_samples.iter().sum::<f64>() / self.latency_samples.len() as f64
-        } else {
-            self.latency_stats.mean()
-        }
+        self.latency_samples.iter().sum::<f64>() / self.latency_samples.len() as f64
     }
 
-    /// p99 ACK latency: exact percentile over the ledger when present,
-    /// the P² streaming estimate otherwise. NaN when nothing was
-    /// delivered.
+    /// p99 ACK latency in samples (NaN when nothing was delivered).
     pub fn p99_latency(&self) -> f64 {
-        if !self.latency_samples.is_empty() {
-            anc_dsp::stats::percentile(&self.latency_samples, 99.0)
-        } else {
-            self.latency_stats.p99()
-        }
+        anc_dsp::stats::percentile(&self.latency_samples, 99.0)
     }
 
-    /// Median ACK latency, with the same exact-first convention as
-    /// [`Self::p99_latency`].
+    /// Median ACK latency in samples (NaN when nothing was delivered).
     pub fn p50_latency(&self) -> f64 {
-        if !self.latency_samples.is_empty() {
-            anc_dsp::stats::percentile(&self.latency_samples, 50.0)
-        } else {
-            self.latency_stats.p50()
-        }
+        anc_dsp::stats::percentile(&self.latency_samples, 50.0)
     }
 
     /// Mean retransmissions per completed packet (delivered, dropped,
@@ -423,29 +341,10 @@ pub struct RunMetrics {
     /// closed-loop runs only; always empty — and outside the golden
     /// fingerprints — when faults are off).
     pub outages: Vec<OutageRecord>,
-    /// Streaming mode: when set, the unbounded per-packet ledgers
-    /// (`packet_bers`, `ber_by_receiver`, `overlaps`) stay empty and
-    /// only the O(1) digests below grow. Off by default — exact
-    /// ledgers feed the golden fingerprints and remain bit-identical
-    /// to the pre-streaming behavior. This field and the digests below
-    /// are absent from metrics captured before the streaming layer,
-    /// so they default.
-    #[serde(default)]
-    pub streaming: bool,
-    /// O(1) streaming summary of all packet BERs (fed in both modes).
-    #[serde(default)]
-    pub ber_stats: StatDigest,
-    /// Per-receiver BER digests, in first-decode order.
-    #[serde(default)]
-    pub receiver_ber_stats: Vec<(u8, StatDigest)>,
-    /// O(1) streaming summary of overlap fractions (fed in both
-    /// modes).
-    #[serde(default)]
-    pub overlap_stats: StatDigest,
 }
 
 impl RunMetrics {
-    /// Creates an empty record for a scheme (exact-ledger mode).
+    /// Creates an empty record for a scheme.
     pub fn new(scheme: Scheme) -> Self {
         RunMetrics {
             scheme: scheme.name().to_string(),
@@ -455,60 +354,25 @@ impl RunMetrics {
             overlaps: Vec::new(),
             flows: Vec::new(),
             outages: Vec::new(),
-            streaming: false,
-            ber_stats: StatDigest::new(),
-            receiver_ber_stats: Vec::new(),
-            overlap_stats: StatDigest::new(),
-        }
-    }
-
-    /// Creates an empty record in streaming mode: per-packet ledgers
-    /// stay empty, digests carry the summaries, memory is O(1) in
-    /// delivered-packet count.
-    pub fn new_streaming(scheme: Scheme) -> Self {
-        RunMetrics {
-            streaming: true,
-            ..RunMetrics::new(scheme)
         }
     }
 
     /// Records a decoded packet's BER at a given receiver.
     pub fn record_ber(&mut self, receiver: u8, ber: f64) {
-        self.ber_stats.push(ber);
-        match self
-            .receiver_ber_stats
-            .iter_mut()
-            .find(|(r, _)| *r == receiver)
-        {
-            Some((_, digest)) => digest.push(ber),
-            None => {
-                let mut digest = StatDigest::new();
-                digest.push(ber);
-                self.receiver_ber_stats.push((receiver, digest));
-            }
-        }
-        if !self.streaming {
-            self.packet_bers.push(ber);
-            self.ber_by_receiver.push((receiver, ber));
-        }
+        self.packet_bers.push(ber);
+        self.ber_by_receiver.push((receiver, ber));
     }
 
     /// Records a decoded packet's BER without a receiver tag (the
-    /// untagged-traditional accounting path): feeds the pooled ledger
-    /// and digest, never the per-receiver table.
+    /// untagged-traditional accounting path): feeds the pooled ledger,
+    /// never the per-receiver table.
     pub fn record_untagged_ber(&mut self, ber: f64) {
-        self.ber_stats.push(ber);
-        if !self.streaming {
-            self.packet_bers.push(ber);
-        }
+        self.packet_bers.push(ber);
     }
 
     /// Records an interfered pair's overlap fraction.
     pub fn record_overlap(&mut self, overlap: f64) {
-        self.overlap_stats.push(overlap);
-        if !self.streaming {
-            self.overlaps.push(overlap);
-        }
+        self.overlaps.push(overlap);
     }
 
     /// BERs observed at one receiver, in decode order. Borrows the
@@ -521,27 +385,21 @@ impl RunMetrics {
             .map(|(_, b)| *b)
     }
 
-    /// Mean packet BER (0 when none recorded). Exact-ledger samples
-    /// win when present; streaming runs answer from the digest.
+    /// Mean packet BER (0 when none recorded).
     pub fn mean_ber(&self) -> f64 {
-        if !self.packet_bers.is_empty() {
-            self.packet_bers.iter().sum::<f64>() / self.packet_bers.len() as f64
-        } else if self.ber_stats.count() > 0 {
-            self.ber_stats.mean()
-        } else {
+        if self.packet_bers.is_empty() {
             0.0
+        } else {
+            self.packet_bers.iter().sum::<f64>() / self.packet_bers.len() as f64
         }
     }
 
-    /// Mean overlap fraction (0 when none recorded), with the same
-    /// exact-first convention as [`Self::mean_ber`].
+    /// Mean overlap fraction (0 when none recorded).
     pub fn mean_overlap(&self) -> f64 {
-        if !self.overlaps.is_empty() {
-            self.overlaps.iter().sum::<f64>() / self.overlaps.len() as f64
-        } else if self.overlap_stats.count() > 0 {
-            self.overlap_stats.mean()
-        } else {
+        if self.overlaps.is_empty() {
             0.0
+        } else {
+            self.overlaps.iter().sum::<f64>() / self.overlaps.len() as f64
         }
     }
 }
@@ -662,9 +520,9 @@ mod tests {
         assert_eq!(open.time_to_recover(), None);
     }
 
-    /// A run with one closed-loop flow, as the JSON shape published
-    /// before the streaming-metrics layer saw it (no `streaming` or
-    /// digest keys on the run or on its flows).
+    /// A run with one closed-loop flow, as JSON. The shape is the one
+    /// published before the streaming-metrics layer existed (it added
+    /// `streaming` and digest keys, since removed again).
     fn pre_streaming_run_json() -> serde::Value {
         let mut m = RunMetrics::new(Scheme::Anc);
         m.account.deliver(1000, 0.01);
@@ -678,50 +536,31 @@ mod tests {
         };
         f.record_latency(120.0);
         m.flows.push(f);
-        let mut v = m.to_value();
-        let serde::Value::Object(run) = &mut v else {
-            panic!("run metrics serialize to an object");
-        };
-        for key in [
-            "streaming",
-            "ber_stats",
-            "receiver_ber_stats",
-            "overlap_stats",
-        ] {
-            run.remove(key);
-        }
-        let Some(serde::Value::Array(flows)) = run.get_mut("flows") else {
-            panic!("flows serialize to an array");
-        };
-        for flow in flows {
-            let serde::Value::Object(flow) = flow else {
-                panic!("a flow serializes to an object");
-            };
-            flow.remove("streaming");
-            flow.remove("latency_stats");
-        }
-        v
+        m.to_value()
     }
+
+    /// The same run as written by the streaming-metrics layer: a
+    /// `streaming` flag and O(1) digests beside the exact ledgers, on
+    /// the run and on each flow.
+    const STREAMING_ERA_RUN_JSON: &str = r#"{"account":{"delivered":1,"goodput_bits":980.3921568627451,"lost":0,"time_samples":0},"ber_by_receiver":[[3,0.01]],"ber_stats":{"count":1,"m2":0,"max":0.01,"mean":0.01,"min":0.01,"p50":{"count":1,"desired":[],"heights":[],"init":[0.01],"positions":[],"q":0.5},"p99":{"count":1,"desired":[],"heights":[],"init":[0.01],"positions":[],"q":0.99}},"flows":[{"delivered":3,"dropped":0,"flow":1,"goodput_bits":0,"in_flight":0,"latency_samples":[120],"latency_stats":{"count":1,"m2":0,"max":120,"mean":120,"min":120,"p50":{"count":1,"desired":[],"heights":[],"init":[120],"positions":[],"q":0.5},"p99":{"count":1,"desired":[],"heights":[],"init":[120],"positions":[],"q":0.99}},"lost_after_ack":0,"lost_to_churn":0,"offered":4,"retransmissions":0,"streaming":false}],"outages":[],"overlap_stats":{"count":1,"m2":0,"max":0.8,"mean":0.8,"min":0.8,"p50":{"count":1,"desired":[],"heights":[],"init":[0.8],"positions":[],"q":0.5},"p99":{"count":1,"desired":[],"heights":[],"init":[0.8],"positions":[],"q":0.99}},"overlaps":[0.8],"packet_bers":[0.01],"receiver_ber_stats":[[3,{"count":1,"m2":0,"max":0.01,"mean":0.01,"min":0.01,"p50":{"count":1,"desired":[],"heights":[],"init":[0.01],"positions":[],"q":0.5},"p99":{"count":1,"desired":[],"heights":[],"init":[0.01],"positions":[],"q":0.99}}]],"scheme":"anc","streaming":false}"#;
 
     #[test]
     fn pre_streaming_metrics_json_still_loads() {
-        let back = RunMetrics::from_value(&pre_streaming_run_json()).unwrap();
-        assert_eq!(back.scheme, "anc");
-        assert_eq!(back.account.delivered, 1);
-        assert_eq!(back.packet_bers, vec![0.01]);
-        assert_eq!(back.ber_by_receiver, vec![(3, 0.01)]);
-        assert_eq!(back.overlaps, vec![0.8]);
-        // Absent streaming state reads as the exact-mode defaults.
-        assert!(!back.streaming);
-        assert_eq!(back.ber_stats.count(), 0);
-        assert!(back.receiver_ber_stats.is_empty());
-        assert_eq!(back.overlap_stats.count(), 0);
-        let flow = &back.flows[0];
-        assert_eq!((flow.flow, flow.offered, flow.delivered), (1, 4, 3));
-        assert_eq!(flow.latency_samples, vec![120.0]);
-        assert!(!flow.streaming);
-        assert_eq!(flow.latency_stats.count(), 0);
-        assert!((flow.mean_latency() - 120.0).abs() < 1e-12);
+        let streaming_era: RunMetrics = serde_json::from_str(STREAMING_ERA_RUN_JSON).unwrap();
+        for back in [
+            RunMetrics::from_value(&pre_streaming_run_json()).unwrap(),
+            streaming_era,
+        ] {
+            assert_eq!(back.scheme, "anc");
+            assert_eq!(back.account.delivered, 1);
+            assert_eq!(back.packet_bers, vec![0.01]);
+            assert_eq!(back.ber_by_receiver, vec![(3, 0.01)]);
+            assert_eq!(back.overlaps, vec![0.8]);
+            let flow = &back.flows[0];
+            assert_eq!((flow.flow, flow.offered, flow.delivered), (1, 4, 3));
+            assert_eq!(flow.latency_samples, vec![120.0]);
+            assert!((flow.mean_latency() - 120.0).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::faults::FaultSpec;
 use crate::metrics::RunMetrics;
 use crate::pipeline::{RunCtx, SchedulerSpec};
 use crate::scenario::{ScenarioError, ScenarioSpec};
-use crate::topology::{ChannelDraw, TopologyKind};
+use crate::topology::ChannelDraw;
 use anc_channel::ImpairmentSpec;
 use anc_frame::NodeId;
 use anc_netcode::{ArqConfig, Scheme};
@@ -99,15 +99,6 @@ impl RunConfig {
     }
 }
 
-/// A topology + scheme pairing, for experiment drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scenario {
-    /// Which topology.
-    pub topology: TopologyKind,
-    /// Which scheme.
-    pub scheme: Scheme,
-}
-
 /// Builder-style run entry: the one fluent surface for running a
 /// scenario. Configure, [`RunBuilder::build`] once (compiling the
 /// scenario), then execute the compiled [`Run`] as many times as
@@ -173,12 +164,6 @@ impl RunBuilder {
     /// link and sender (see [`ImpairmentSpec`]).
     pub fn impairments(mut self, spec: ImpairmentSpec) -> RunBuilder {
         self.spec.impairments = Some(spec);
-        self
-    }
-
-    /// Switches compiled programs to O(1) streaming-digest metrics.
-    pub fn streaming_metrics(mut self) -> RunBuilder {
-        self.spec.streaming_metrics = true;
         self
     }
 
@@ -268,15 +253,6 @@ pub fn run_chain(scheme: Scheme, cfg: &RunConfig) -> RunMetrics {
 /// Runs one scheme on one "X" realization (Fig. 11, §11.5).
 pub fn run_x(scheme: Scheme, cfg: &RunConfig) -> RunMetrics {
     run_spec(&ScenarioSpec::x(), scheme, cfg).expect("canonical X compiles")
-}
-
-/// Dispatch helper: run `scenario` with the given config.
-pub fn run_scenario(scenario: Scenario, cfg: &RunConfig) -> RunMetrics {
-    match scenario.topology {
-        TopologyKind::AliceBob => run_alice_bob(scenario.scheme, cfg),
-        TopologyKind::Chain => run_chain(scenario.scheme, cfg),
-        TopologyKind::X => run_x(scenario.scheme, cfg),
-    }
 }
 
 #[cfg(test)]
@@ -395,19 +371,6 @@ mod tests {
         let b = run_alice_bob(Scheme::Anc, &cfg);
         assert_eq!(a.account.goodput_bits, b.account.goodput_bits);
         assert_eq!(a.packet_bers, b.packet_bers);
-    }
-
-    #[test]
-    fn scenario_dispatch() {
-        let cfg = RunConfig::quick(11);
-        let m = run_scenario(
-            Scenario {
-                topology: TopologyKind::AliceBob,
-                scheme: Scheme::Traditional,
-            },
-            &cfg,
-        );
-        assert!(m.account.delivered > 0);
     }
 
     #[test]

@@ -111,12 +111,6 @@ pub struct ScenarioSpec {
     /// jammer bursts, stuck carriers — see [`FaultSpec`]). `None` or a
     /// passive spec keeps runs bit-identical to the goldens.
     pub faults: Option<FaultSpec>,
-    /// Streaming metrics: compile programs whose ledgers run in
-    /// O(1)-memory digest mode ([`crate::metrics::StatDigest`])
-    /// instead of growing exact per-packet vectors. `false` (the
-    /// default) keeps the exact ledgers the goldens fingerprint.
-    #[serde(default)]
-    pub streaming_metrics: bool,
 }
 
 impl ScenarioSpec {
@@ -129,7 +123,6 @@ impl ScenarioSpec {
             impairments: None,
             arq: None,
             faults: None,
-            streaming_metrics: false,
         }
     }
 
@@ -137,13 +130,6 @@ impl ScenarioSpec {
     /// (see [`ImpairmentSpec`]); builder-style for sweep drivers.
     pub fn with_impairments(mut self, spec: ImpairmentSpec) -> ScenarioSpec {
         self.impairments = Some(spec);
-        self
-    }
-
-    /// Switches compiled programs to O(1) streaming metrics
-    /// (digest-only ledgers); builder-style for city-scale drivers.
-    pub fn with_streaming_metrics(mut self) -> ScenarioSpec {
-        self.streaming_metrics = true;
         self
     }
 
@@ -261,7 +247,6 @@ impl ScenarioSpec {
             } else {
                 Vec::new()
             },
-            streaming_metrics: self.streaming_metrics,
         })
     }
 
@@ -1048,10 +1033,9 @@ mod tests {
     fn pre_arq_pre_streaming_scenario_json_still_loads() {
         use serde::{Deserialize as _, Serialize as _};
         let mut v = ScenarioSpec::x().to_value();
-        // The JSON shape published before impairments, ARQ, faults and
-        // streaming metrics.
+        // The JSON shape published before impairments, ARQ and faults.
         if let serde::Value::Object(obj) = &mut v {
-            for key in ["impairments", "arq", "faults", "streaming_metrics"] {
+            for key in ["impairments", "arq", "faults"] {
                 obj.remove(key);
             }
         }
@@ -1059,7 +1043,6 @@ mod tests {
         assert!(back.impairments.is_none());
         assert!(back.arq.is_none());
         assert!(back.faults.is_none());
-        assert!(!back.streaming_metrics);
         assert!(back.untagged_traditional_bers);
         assert!(back.compile(Scheme::Anc).is_ok());
         // A key that predates all of them is still required.
@@ -1068,6 +1051,25 @@ mod tests {
         }
         let err = ScenarioSpec::from_value(&v).unwrap_err();
         assert!(err.to_string().contains("missing field"), "{err}");
+        // A spec written while the streaming-metrics option existed,
+        // with it switched on, loads, compiles and runs with the exact
+        // ledgers and the same results as today's spec.
+        let mut streaming_era = ScenarioSpec::x().to_value();
+        if let serde::Value::Object(obj) = &mut streaming_era {
+            obj.insert("streaming_metrics".to_string(), serde::Value::Bool(true));
+        }
+        let back = ScenarioSpec::from_value(&streaming_era).unwrap();
+        assert!(back.compile(Scheme::Anc).is_ok());
+        let cfg = crate::runs::RunConfig::quick(5);
+        let old = back.builder(Scheme::Traditional).config(cfg.clone()).run();
+        let new = ScenarioSpec::x()
+            .builder(Scheme::Traditional)
+            .config(cfg)
+            .run();
+        let (old, new) = (old.unwrap(), new.unwrap());
+        assert!(!old.packet_bers.is_empty());
+        assert_eq!(old.packet_bers, new.packet_bers);
+        assert_eq!(old.account.goodput_bits, new.account.goodput_bits);
     }
 
     #[test]
