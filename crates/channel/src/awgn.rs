@@ -73,16 +73,9 @@ impl Awgn {
     }
 }
 
-/// Noise power that realizes a given SNR (in dB) for a signal of the
-/// given received power. Convenience for experiment setup.
-pub fn noise_power_for_snr_db(signal_power: f64, snr_db: f64) -> f64 {
-    signal_power / anc_dsp::db_to_linear(snr_db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anc_dsp::linear_to_db;
 
     #[test]
     fn power_is_realized() {
@@ -118,12 +111,6 @@ mod tests {
         let p = Cplx::mean_energy(&noisy);
         // E[|s+z|²] = 1 + 0.5
         assert!((p - 1.5).abs() < 0.05, "measured {p}");
-    }
-
-    #[test]
-    fn snr_helper_inverts() {
-        let n0 = noise_power_for_snr_db(4.0, 20.0);
-        assert!((linear_to_db(4.0 / n0) - 20.0).abs() < 1e-9);
     }
 
     #[test]

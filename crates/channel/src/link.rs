@@ -64,29 +64,10 @@ impl Link {
         }
     }
 
-    /// Returns the link with a different delay.
-    pub fn with_delay(mut self, delay: f64) -> Self {
-        assert!(delay >= 0.0);
-        self.delay = delay;
-        self
-    }
-
     /// The complex channel coefficient `h·e^{iγ}`.
     #[inline]
     pub fn coefficient(&self) -> Cplx {
         Cplx::from_polar(self.gain, self.phase)
-    }
-
-    /// Received power multiplier `h²`.
-    #[inline]
-    pub fn power_gain(&self) -> f64 {
-        self.gain * self.gain
-    }
-
-    /// Applies attenuation and rotation (no delay) to one sample.
-    #[inline]
-    pub fn apply_sample(&self, x: Cplx) -> Cplx {
-        x * self.coefficient()
     }
 
     /// Applies the full link (gain, phase, delay) to a waveform.
@@ -125,11 +106,6 @@ mod tests {
         let out = link.apply(&[Cplx::ONE]);
         assert!((out[0].norm() - 0.5).abs() < 1e-12);
         assert!((out[0].arg() - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn power_gain_is_h_squared() {
-        assert!((Link::new(0.3, 0.0, 0.0).power_gain() - 0.09).abs() < 1e-12);
     }
 
     #[test]

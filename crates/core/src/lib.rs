@@ -24,10 +24,7 @@
 //!
 //! [`naive`] implements the strawman §6 warns about — direct channel
 //! estimation and signal subtraction — used by the ablation benches to
-//! show why the phase-difference method is the robust one. [`sic`]
-//! implements blind successive interference cancellation, the §3
-//! prior-art baseline that needs a +6 dB power gap where ANC works at
-//! −3 dB (§11.7).
+//! show why the phase-difference method is the robust one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +36,6 @@ pub mod lemma;
 pub mod matcher;
 pub mod naive;
 pub mod router;
-pub mod sic;
 
 pub use amplitude::{estimate_amplitudes, AmplitudeEstimate};
 pub use decoder::{AncDecoder, DecodeOutcome, DecoderConfig, DecoderScratch};

@@ -109,93 +109,6 @@ pub fn match_phase_differences(y: &[Cplx], known_dtheta: &[f64], a: f64, b: f64)
     out
 }
 
-/// [`match_bits_into`]'s per-interval decision: Lemma-6.1 candidate
-/// vectors for the next sample, pre-rotated by `e^{-iΔθ_s}`, scored
-/// against the previous sample's candidates.
-struct CandidateSelector {
-    kernel: LemmaKernel,
-    // Memoized `e^{-i·Δθ_s}`: MSK streams draw Δθ_s from {±π/2}, so
-    // consecutive intervals often repeat a value and skip the sin_cos.
-    memo_dtheta: f64,
-    back_rot: Cplx,
-}
-
-/// One selected interval: the next sample's candidate vectors, their
-/// pre-rotated forms, and the winning `(next, prev)` branch pair.
-struct SelectedInterval {
-    nu: [Cplx; 2],
-    nv: [Cplx; 2],
-    m: [Cplx; 2],
-    best: (usize, usize),
-}
-
-impl SelectedInterval {
-    /// `∝ e^{i(Δθ_chosen − Δθ_s)}` — its argument is the signed
-    /// matching residual.
-    #[inline]
-    fn residual_vector(&self, pu: &[Cplx; 2]) -> Cplx {
-        self.m[self.best.0] * pu[self.best.1].conj()
-    }
-
-    /// `∝ e^{iΔφ_chosen}` — its argument is the unknown sender's phase
-    /// difference, its sign the §6.4 bit.
-    #[inline]
-    fn dphi_vector(&self, pv: &[Cplx; 2]) -> Cplx {
-        self.nv[self.best.0] * pv[self.best.1].conj()
-    }
-}
-
-impl CandidateSelector {
-    fn new(kernel: LemmaKernel) -> Self {
-        CandidateSelector {
-            kernel,
-            memo_dtheta: f64::NAN,
-            back_rot: Cplx::ONE,
-        }
-    }
-
-    /// Solves the next sample and picks Eq. 8's winning candidate
-    /// against the previous sample's `pu` vectors.
-    #[inline]
-    fn step(&mut self, yn: Cplx, known: f64, pu: &[Cplx; 2]) -> SelectedInterval {
-        let (nu, nv, _) = self.kernel.candidate_vectors(yn);
-        if known != self.memo_dtheta {
-            let (sk, ck) = known.sin_cos();
-            self.back_rot = Cplx::new(ck, -sk);
-            self.memo_dtheta = known;
-        }
-        // Pre-rotate the next-sample candidates by −Δθ_s once, so each
-        // of the four scores is a single fused multiply-accumulate:
-        // Re(m_x·conj(pu_p)) ∝ cos(Δθ_xy − Δθ_s), and the cosine is
-        // monotone in the reference's circular distance on [0, π].
-        let m = [nu[0] * self.back_rot, nu[1] * self.back_rot];
-        // Candidate order mirrors the reference exactly — next branch
-        // outer, prev branch inner, strict improvement — so ties keep
-        // the same (earliest) candidate.
-        let mut best_score = f64::NEG_INFINITY;
-        let mut best = (0usize, 0usize);
-        for (x, &mx) in m.iter().enumerate() {
-            for (p, &pup) in pu.iter().enumerate() {
-                let score = mx.re.mul_add(pup.re, mx.im * pup.im);
-                if score > best_score {
-                    best_score = score;
-                    best = (x, p);
-                }
-            }
-        }
-        SelectedInterval { nu, nv, m, best }
-    }
-}
-
-/// `true` exactly when `arg(q) >= 0.0` would be, without the `atan2` —
-/// now shared workspace-wide as [`Cplx::arg_is_non_negative`] (the MSK
-/// hard demodulator makes the same decision); kept as a thin alias so
-/// the §6.4 call sites below read as the decision they implement.
-#[inline]
-fn arg_is_non_negative(q: Cplx) -> bool {
-    q.arg_is_non_negative()
-}
-
 /// The decode hot path's §6.3 kernel: fused Lemma 6.1 + matching that
 /// emits only what Alg. 1 consumes — the §6.4 hard bit decisions
 /// (appended to `bits`) and the per-interval matching residual
@@ -239,13 +152,42 @@ pub fn match_bits_into(
     err.reserve(intervals);
     bits.reserve(intervals);
     let (mut pu, mut pv, _) = kernel.candidate_vectors(y[0]);
-    let mut sel = CandidateSelector::new(kernel);
+    // Memoized `e^{-i·Δθ_s}`: MSK streams draw Δθ_s from {±π/2}, so
+    // consecutive intervals often repeat a value and skip the sin_cos.
+    let (mut memo_dtheta, mut back_rot) = (f64::NAN, Cplx::ONE);
     for (&yn, &known) in y[1..=intervals].iter().zip(known_dtheta) {
-        let step = sel.step(yn, known, &pu);
-        err.push(step.residual_vector(&pu).arg().abs());
-        bits.push(arg_is_non_negative(step.dphi_vector(&pv)));
-        pu = step.nu;
-        pv = step.nv;
+        let (nu, nv, _) = kernel.candidate_vectors(yn);
+        if known != memo_dtheta {
+            let (sk, ck) = known.sin_cos();
+            back_rot = Cplx::new(ck, -sk);
+            memo_dtheta = known;
+        }
+        // Pre-rotate the next-sample candidates by −Δθ_s once, so each
+        // of the four scores is a single fused multiply-accumulate:
+        // Re(m_x·conj(pu_p)) ∝ cos(Δθ_xy − Δθ_s), and the cosine is
+        // monotone in the reference's circular distance on [0, π].
+        let m = [nu[0] * back_rot, nu[1] * back_rot];
+        // Candidate order mirrors the reference exactly — next branch
+        // outer, prev branch inner, strict improvement — so ties keep
+        // the same (earliest) candidate.
+        let mut best_score = f64::NEG_INFINITY;
+        let (mut bx, mut bp) = (0usize, 0usize);
+        for (x, &mx) in m.iter().enumerate() {
+            for (p, &pup) in pu.iter().enumerate() {
+                let score = mx.re.mul_add(pup.re, mx.im * pup.im);
+                if score > best_score {
+                    best_score = score;
+                    (bx, bp) = (x, p);
+                }
+            }
+        }
+        // `m[bx]·conj(pu[bp]) ∝ e^{i(Δθ_chosen − Δθ_s)}`: its argument
+        // is the signed matching residual. `nv[bx]·conj(pv[bp]) ∝
+        // e^{iΔφ_chosen}`: its sign is the §6.4 bit.
+        err.push((m[bx] * pu[bp].conj()).arg().abs());
+        bits.push((nv[bx] * pv[bp].conj()).arg_is_non_negative());
+        pu = nu;
+        pv = nv;
     }
 }
 
@@ -392,7 +334,7 @@ pub fn match_bits_batch(
             (p1, Cplx::new(v1re[k], v1im[k]))
         };
         err.push((m * pu.conj()).arg().abs());
-        bits.push(arg_is_non_negative(nv * pv.conj()));
+        bits.push((nv * pv.conj()).arg_is_non_negative());
     }
 }
 
@@ -664,15 +606,15 @@ mod tests {
             for &im in &[-1.0, -0.0, 0.0, 2.5] {
                 let q = Cplx::new(re, im);
                 assert_eq!(
-                    arg_is_non_negative(q),
+                    q.arg_is_non_negative(),
                     q.arg() >= 0.0,
                     "q = {re:?}+{im:?}i (arg {})",
                     q.arg()
                 );
             }
         }
-        assert!(!arg_is_non_negative(Cplx::new(f64::NAN, 1.0)));
-        assert!(!arg_is_non_negative(Cplx::new(1.0, f64::NAN)));
+        assert!(!Cplx::new(f64::NAN, 1.0).arg_is_non_negative());
+        assert!(!Cplx::new(1.0, f64::NAN).arg_is_non_negative());
     }
 
     #[test]

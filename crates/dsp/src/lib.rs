@@ -54,5 +54,5 @@ pub use cplx::Cplx;
 pub use db::{db_to_linear, linear_to_db};
 pub use lfsr::Lfsr;
 pub use rng::DspRng;
-pub use stats::{percentile, Cdf, RunningStats};
+pub use stats::{percentile, Cdf};
 pub use window::{EnergyWindow, VarianceWindow};

@@ -155,11 +155,6 @@ impl DspRng {
         r * c
     }
 
-    /// Normal variate with given mean and standard deviation.
-    pub fn gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.gaussian()
-    }
-
     /// Circularly-symmetric complex Gaussian with total power
     /// `E[|z|²] = power` — the AWGN model of §8 ("a wireless channel with
     /// additive white Gaussian noise"). Each quadrature gets half the
@@ -240,15 +235,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
-    }
-
-    #[test]
-    fn gaussian_with_params() {
-        let mut rng = DspRng::seed_from(5);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.gaussian_with(3.0, 0.5)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.01);
     }
 
     #[test]

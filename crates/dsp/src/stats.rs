@@ -2,110 +2,13 @@
 //!
 //! §11 reports CDFs of throughput gains and bit-error rates over 40
 //! experiment runs. [`Cdf`] reproduces those plots as printable series;
-//! [`RunningStats`] (Welford) accumulates means/variances without
-//! storing samples; [`percentile`] backs the summary table.
+//! [`P2Quantile`] tracks one quantile in O(1) memory; [`percentile`]
+//! backs the summary table.
 
 #![deny(clippy::cast_possible_truncation)]
 
 use crate::cast::{ceil_to_usize, floor_to_usize};
 use serde::{Deserialize, Serialize};
-
-/// Welford online mean/variance accumulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation. NaN observations are skipped: a single
-    /// NaN fed into Welford's recurrence poisons the mean *and* every
-    /// later observation (the same sentinel convention as
-    /// [`percentile`]/[`Cdf`], which drop NaN samples before sorting).
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean; 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; 0 with fewer than 2 observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation; +inf if empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation; -inf if empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel runs).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Streaming quantile estimator (Jain & Chlamtac's P² algorithm).
 ///
@@ -118,7 +21,7 @@ impl RunningStats {
 /// linear) interpolation.
 ///
 /// NaN observations are skipped and an empty estimator reports NaN —
-/// the same sentinel conventions as [`RunningStats`]/[`percentile`].
+/// the same sentinel conventions as [`percentile`]/[`Cdf`].
 /// All internal state is finite, so the estimator serializes through
 /// JSON (which cannot carry NaN) without a lossy detour.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -348,79 +251,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn running_stats_basic() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn running_stats_skips_nan_observations() {
-        // One poisoned push must not contaminate the accumulator: NaN
-        // through Welford's recurrence turns mean, m2, min and max into
-        // NaN for the rest of the run.
-        let mut with_nan = RunningStats::new();
-        let mut clean = RunningStats::new();
-        for x in [2.0, f64::NAN, 4.0, f64::NAN, 9.0] {
-            with_nan.push(x);
-            if !x.is_nan() {
-                clean.push(x);
-            }
-        }
-        assert_eq!(with_nan.count(), 3);
-        assert_eq!(with_nan.mean().to_bits(), clean.mean().to_bits());
-        assert_eq!(with_nan.variance().to_bits(), clean.variance().to_bits());
-        assert_eq!(with_nan.min(), 2.0);
-        assert_eq!(with_nan.max(), 9.0);
-        let mut only_nan = RunningStats::new();
-        only_nan.push(f64::NAN);
-        assert_eq!(only_nan.count(), 0);
-        assert_eq!(only_nan.mean(), 0.0);
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 3.0 + 1.0).collect();
-        let mut whole = RunningStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        xs[..37].iter().for_each(|&x| a.push(x));
-        xs[37..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.mean();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.mean(), before);
-        let mut empty = RunningStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.mean(), before);
-    }
-
-    #[test]
     fn percentile_interpolates() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!((percentile(&xs, 0.0) - 1.0).abs() < 1e-12);
@@ -502,8 +332,8 @@ mod tests {
         let empty = P2Quantile::new(0.99);
         assert!(empty.value().is_nan());
         assert_eq!(empty.count(), 0);
-        // NaN observations are dropped exactly like RunningStats /
-        // percentile drop them.
+        // NaN observations are dropped exactly like percentile / Cdf
+        // drop them.
         let mut with_nan = P2Quantile::new(0.5);
         let mut clean = P2Quantile::new(0.5);
         let mut rng = crate::DspRng::seed_from(5);

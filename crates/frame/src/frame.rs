@@ -208,33 +208,6 @@ impl Frame {
         Ok((Frame { header, payload }, off))
     }
 
-    /// Reads only the header nearest the frame head, without CRC-16
-    /// validation of the payload — what a router does on an interfered
-    /// reception whose payload region is scrambled (§7.5). The head
-    /// pilot must begin at `bits[0]`.
-    pub fn peek_header(bits: &[bool], cfg: &FrameConfig) -> Result<Header, FrameError> {
-        let p = cfg.pilot_len;
-        if bits.len() < p + HEADER_BITS {
-            return Err(FrameError::TooShort);
-        }
-        Header::from_bits(&bits[p..p + HEADER_BITS]).ok_or(FrameError::BadHeader)
-    }
-
-    /// Reads the mirrored header at the frame tail, given bits in
-    /// reception order whose *last* bit is the frame's last bit.
-    pub fn peek_tail_header(bits: &[bool], cfg: &FrameConfig) -> Result<Header, FrameError> {
-        let p = cfg.pilot_len;
-        if bits.len() < p + HEADER_BITS {
-            return Err(FrameError::TooShort);
-        }
-        let tail: Vec<bool> = bits[bits.len() - p - HEADER_BITS..bits.len() - p]
-            .iter()
-            .rev()
-            .copied()
-            .collect();
-        Header::from_bits(&tail).ok_or(FrameError::BadHeader)
-    }
-
     /// Total on-air length of this frame in bits.
     pub fn bit_len(&self, cfg: &FrameConfig) -> usize {
         cfg.frame_bits(self.payload.len())
@@ -430,32 +403,6 @@ mod tests {
             Frame::from_bits(truncated, &cfg),
             Err(FrameError::LengthMismatch)
         );
-    }
-
-    #[test]
-    fn peek_headers_from_both_ends() {
-        let cfg = FrameConfig::default();
-        let f = sample_frame(10, 64);
-        let bits = f.to_bits(&cfg);
-        assert_eq!(Frame::peek_header(&bits, &cfg).unwrap(), f.header);
-        assert_eq!(Frame::peek_tail_header(&bits, &cfg).unwrap(), f.header);
-    }
-
-    #[test]
-    fn peek_tail_header_with_scrambled_middle() {
-        // §7.5: a router reads both headers of an interfered signal even
-        // though the payload region is garbage.
-        let cfg = FrameConfig::default();
-        let f = sample_frame(11, 128);
-        let mut bits = f.to_bits(&cfg);
-        let start = cfg.pilot_len + HEADER_BITS;
-        let end = bits.len() - cfg.pilot_len - HEADER_BITS;
-        let mut rng = DspRng::seed_from(13);
-        for b in bits[start..end].iter_mut() {
-            *b = rng.bit();
-        }
-        assert_eq!(Frame::peek_header(&bits, &cfg).unwrap(), f.header);
-        assert_eq!(Frame::peek_tail_header(&bits, &cfg).unwrap(), f.header);
     }
 
     #[test]

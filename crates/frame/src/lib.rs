@@ -11,9 +11,9 @@
 //! * [`frame::Frame`] — build/parse the full layout including the
 //!   64-bit pilot (§7.2), its mirrored tail copy, whitening of the
 //!   payload (§6.2) and a CRC over the payload.
-//! * [`fec`] — repetition and Hamming(7,4) codes: §11.2 charges ANC for
-//!   the extra error-correction redundancy its higher BER needs (8 % in
-//!   the paper); these codes make that overhead concrete.
+//! * [`fec`] — the paper's redundancy rule: §11.2 charges ANC for the
+//!   extra error-correction redundancy its higher BER needs (8 % in the
+//!   paper).
 //! * [`buffer::SentPacketBuffer`] — §7.3's *Sent Packet Buffer*: copies
 //!   of transmitted/overheard frames keyed by (src, dst, seqno), looked
 //!   up via decoded headers to find the known signal for cancellation.

@@ -1,7 +1,7 @@
 //! Property-based tests for the framing substrate.
 
 use anc_frame::crc::{append_crc16, crc16, crc8, verify_crc16};
-use anc_frame::fec::{ideal_redundancy_for_ber, Fec, Hamming74, Repetition3};
+use anc_frame::fec::ideal_redundancy_for_ber;
 use anc_frame::{Frame, FrameConfig, Header, SentPacketBuffer};
 use proptest::prelude::*;
 
@@ -102,29 +102,6 @@ proptest! {
         let fwd = Frame::from_bits(&bits, &cfg).unwrap();
         let (bwd, _) = Frame::parse_backward(&bits, &cfg).unwrap();
         prop_assert_eq!(fwd, bwd);
-    }
-
-    /// Repetition code corrects any single flip per 3-block.
-    #[test]
-    fn repetition_corrects_one_per_block(
-        data in proptest::collection::vec(any::<bool>(), 1..64),
-        which in proptest::collection::vec(0usize..3, 1..64),
-    ) {
-        let coded_ref = Repetition3.encode(&data);
-        let mut coded = coded_ref.clone();
-        for (block, &w) in which.iter().enumerate().take(data.len()) {
-            coded[block * 3 + w] ^= true;
-        }
-        prop_assert_eq!(Repetition3.decode(&coded), data);
-    }
-
-    /// Hamming(7,4) expansion arithmetic holds for any input length.
-    #[test]
-    fn hamming_length_arithmetic(len in 1usize..256) {
-        let data = vec![false; len];
-        let coded = Hamming74.encode(&data);
-        prop_assert_eq!(coded.len(), len.div_ceil(4) * 7);
-        prop_assert_eq!(Hamming74.decode(&coded).len(), len.div_ceil(4) * 4);
     }
 
     /// The paper's redundancy rule is monotone and clamped.

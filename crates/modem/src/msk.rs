@@ -129,16 +129,6 @@ impl MskModem {
         out.extend(bits.iter().map(|&b| if b { FRAC_PI_2 } else { -FRAC_PI_2 }));
     }
 
-    /// Demodulates starting from an arbitrary sample offset; used after
-    /// alignment when a reception does not begin exactly at a waveform
-    /// boundary.
-    pub fn demodulate_from(&self, samples: &[Cplx], offset: usize) -> Vec<bool> {
-        if offset >= samples.len() {
-            return Vec::new();
-        }
-        self.demodulate(&samples[offset..])
-    }
-
     /// Soft demodulation: returns the measured phase difference for each
     /// symbol instead of a hard bit. The ANC decoder's final step (§6.4)
     /// thresholds these at zero.
@@ -396,17 +386,6 @@ mod tests {
         assert_eq!(modem.modulate(&[]).len(), 1); // just the initial phase point
         assert!(modem.demodulate(&[]).is_empty());
         assert!(modem.demodulate(&[Cplx::ONE]).is_empty());
-    }
-
-    #[test]
-    fn demodulate_from_offset() {
-        let modem = MskModem::default();
-        let data = bits("1100");
-        let signal = modem.modulate(&data);
-        // skipping one symbol drops the first bit
-        let tail = modem.demodulate_from(&signal, 1);
-        assert_eq!(tail, bits("100"));
-        assert!(modem.demodulate_from(&signal, 99).is_empty());
     }
 
     #[test]

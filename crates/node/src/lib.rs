@@ -11,9 +11,6 @@
 //!   neighbours transmit after the §7.2 random delay (slots + user-space
 //!   jitter), which is what limits packet overlap to ≈ 80 % in the
 //!   paper (§11.4).
-//! * [`trigger`] — the §7.6 trigger sequence itself: the marker a node
-//!   appends to its transmission and the detector neighbours run on
-//!   reception tails.
 //! * [`node::Node`] — queues, sent-packet buffer, role (endpoint,
 //!   amplifying relay, decoding relay), and the poll-based interface
 //!   the simulator drives.
@@ -25,10 +22,8 @@ pub mod block;
 pub mod mac;
 pub mod node;
 pub mod phy;
-pub mod trigger;
 
 pub use block::{synthesize, SynthJob, SynthSource};
 pub use mac::{CsmaConfig, MacConfig, TriggerMac};
 pub use node::{FrontEnd, Node, NodeConfig, NodeRole};
 pub use phy::{RxChain, RxEvent, TxChain};
-pub use trigger::{detect_trigger, frame_with_trigger, trigger_sequence};

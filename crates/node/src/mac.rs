@@ -10,6 +10,10 @@
 //! (together with user-space jitter, §11.4) makes the two packets
 //! overlap only partially (≈ 80 % in the paper), leaving clean pilot
 //! and header regions at both ends of the interfered signal.
+//!
+//! The simulation does not put a trigger sequence on the air: a slot
+//! the scenario engine marks triggered fires its senders together, and
+//! each sender's stagger is one [`TriggerMac::draw_delay`].
 
 #![deny(clippy::cast_possible_truncation)]
 
@@ -100,31 +104,18 @@ impl TriggerMac {
         &self.cfg
     }
 
-    /// Draws a transmission delay in *samples* for a triggered sender
-    /// (`samples_per_bit` converts bit-times). Slot index is uniform in
+    /// Draws a transmission delay in *samples* (one sample per bit)
+    /// for a triggered sender. Slot index is uniform in
     /// `1..=delay_slots`; Gaussian jitter is added and the result
     /// clamped non-negative.
-    pub fn draw_delay(&mut self, samples_per_bit: usize) -> usize {
+    pub fn draw_delay(&mut self) -> usize {
         let slot = self.rng.uniform_int(1, self.cfg.delay_slots);
         let base = slot as f64 * self.cfg.slot_bits as f64;
         let jitter = self.rng.gaussian() * self.cfg.jitter_bits;
         let bits = (base + jitter).max(0.0);
         // Saturating, NaN-safe rounding: a pathological jitter draw can
         // no longer wrap into a garbage delay (`as` would truncate).
-        round_to_usize(bits * samples_per_bit as f64)
-    }
-
-    /// Expected overlap fraction between two frames of `frame_bits`
-    /// bits whose senders draw independent delays from this MAC
-    /// (ignoring jitter): `1 − E|slot₁−slot₂|·slot_bits / frame_bits`,
-    /// clamped to `[0, 1]`. Used to pre-size experiments toward the
-    /// paper's ≈ 80 % overlap.
-    pub fn expected_overlap(&self, frame_bits: usize) -> f64 {
-        let n = self.cfg.delay_slots as f64;
-        // E|U1 − U2| for iid uniform on {1..n} = (n² − 1) / (3n).
-        let mean_gap_slots = (n * n - 1.0) / (3.0 * n);
-        let gap_bits = mean_gap_slots * self.cfg.slot_bits as f64;
-        (1.0 - gap_bits / frame_bits as f64).clamp(0.0, 1.0)
+        round_to_usize(bits)
     }
 }
 
@@ -137,26 +128,26 @@ mod tests {
         TriggerMac::new(MacConfig::default(), DspRng::seed_from(seed))
     }
 
+    /// Expected overlap fraction between two frames of `frame_bits`
+    /// bits whose senders draw independent delays from `cfg` (ignoring
+    /// jitter): `1 − E|slot₁−slot₂|·slot_bits / frame_bits`, clamped to
+    /// `[0, 1]`.
+    fn expected_overlap(cfg: &MacConfig, frame_bits: usize) -> f64 {
+        let n = cfg.delay_slots as f64;
+        // E|U1 − U2| for iid uniform on {1..n} = (n² − 1) / (3n).
+        let mean_gap_slots = (n * n - 1.0) / (3.0 * n);
+        let gap_bits = mean_gap_slots * cfg.slot_bits as f64;
+        (1.0 - gap_bits / frame_bits as f64).clamp(0.0, 1.0)
+    }
+
     #[test]
     fn delays_positive_and_bounded() {
         let mut m = mac(1);
         let cfg = *m.config();
         let max_bits = cfg.delay_slots as f64 * cfg.slot_bits as f64 + 8.0 * cfg.jitter_bits;
         for _ in 0..1000 {
-            let d = m.draw_delay(1);
+            let d = m.draw_delay();
             assert!(d as f64 <= max_bits, "delay {d} too large");
-        }
-    }
-
-    #[test]
-    fn delays_scale_with_samples_per_bit() {
-        let mut m1 = mac(7);
-        let mut m4 = mac(7);
-        for _ in 0..100 {
-            let d1 = m1.draw_delay(1);
-            let d4 = m4.draw_delay(4);
-            // Same random draws, 4× the samples (± rounding).
-            assert!((d4 as i64 - 4 * d1 as i64).abs() <= 4, "{d1} vs {d4}");
         }
     }
 
@@ -167,7 +158,7 @@ mod tests {
         let mut b = mac(3);
         let mut exact = 0;
         for _ in 0..500 {
-            if a.draw_delay(1) == b.draw_delay(1) {
+            if a.draw_delay() == b.draw_delay() {
                 exact += 1;
             }
         }
@@ -182,14 +173,14 @@ mod tests {
             jitter_bits: 0.0,
         };
         let frame_bits = 2320;
-        let expect = TriggerMac::new(cfg, DspRng::seed_from(0)).expected_overlap(frame_bits);
+        let expect = expected_overlap(&cfg, frame_bits);
         let mut a = TriggerMac::new(cfg, DspRng::seed_from(4));
         let mut b = TriggerMac::new(cfg, DspRng::seed_from(5));
         let n = 20_000;
         let mut total = 0.0;
         for _ in 0..n {
-            let da = a.draw_delay(1) as f64;
-            let db = b.draw_delay(1) as f64;
+            let da = a.draw_delay() as f64;
+            let db = b.draw_delay() as f64;
             total += (1.0 - (da - db).abs() / frame_bits as f64).clamp(0.0, 1.0);
         }
         let empirical = total / n as f64;
@@ -204,8 +195,7 @@ mod tests {
         // §11.4: "the average overlap between Alice's packets and those
         // from Bob's is 80%". With the default MAC and the experiments'
         // 4096-bit payloads (4368-bit frames) we sit in that regime.
-        let m = mac(6);
-        let overlap = m.expected_overlap(4368);
+        let overlap = expected_overlap(&MacConfig::default(), 4368);
         assert!(
             (0.75..=0.85).contains(&overlap),
             "default overlap {overlap} outside the paper's regime"
@@ -217,7 +207,7 @@ mod tests {
         let mut a = mac(9);
         let mut b = mac(9);
         for _ in 0..50 {
-            assert_eq!(a.draw_delay(2), b.draw_delay(2));
+            assert_eq!(a.draw_delay(), b.draw_delay());
         }
     }
 

@@ -17,7 +17,7 @@ use anc_dsp::lfsr::pilot_sequence;
 use anc_dsp::Cplx;
 use anc_frame::header::HEADER_BITS;
 use anc_frame::{Frame, FrameConfig, Header, PacketKey, SentPacketBuffer};
-use anc_modem::{Modem, MskConfig, MskModem};
+use anc_modem::{Modem, MskModem};
 
 /// The transmitter side of Fig. 8: Framer → Modulator.
 #[derive(Debug, Clone)]
@@ -30,31 +30,15 @@ impl TxChain {
     /// Creates a TX chain with the given frame layout (symbol-rate
     /// front end, one sample per bit).
     pub fn new(frame_cfg: FrameConfig) -> Self {
-        TxChain::with_oversampling(frame_cfg, 1)
-    }
-
-    /// Creates a TX chain whose front end emits `samples_per_symbol`
-    /// complex samples per bit (an oversampled radio).
-    ///
-    /// # Panics
-    /// Panics if `samples_per_symbol == 0`.
-    pub fn with_oversampling(frame_cfg: FrameConfig, samples_per_symbol: usize) -> Self {
         TxChain {
             frame_cfg,
-            modem: MskModem::new(MskConfig::oversampled(samples_per_symbol)),
+            modem: MskModem::default(),
         }
     }
 
     /// The frame configuration in use.
     pub fn frame_config(&self) -> &FrameConfig {
         &self.frame_cfg
-    }
-
-    /// On-air samples per bit-time — the unit conversion MAC delay
-    /// draws must use so staggering stays in sample units whatever the
-    /// front end's oversampling factor.
-    pub fn samples_per_bit(&self) -> usize {
-        self.modem.config().samples_per_symbol
     }
 
     /// Serializes and modulates a frame into baseband samples.
@@ -140,20 +124,10 @@ pub struct RxChain {
 impl RxChain {
     /// Creates an RX chain (symbol-rate, matching [`TxChain::new`]).
     pub fn new(cfg: DecoderConfig) -> Self {
-        RxChain::with_oversampling(cfg, 1)
-    }
-
-    /// Creates an RX chain whose demodulator expects
-    /// `samples_per_symbol` samples per bit, matching an oversampled
-    /// [`TxChain::with_oversampling`] front end.
-    ///
-    /// # Panics
-    /// Panics if `samples_per_symbol == 0`.
-    pub fn with_oversampling(cfg: DecoderConfig, samples_per_symbol: usize) -> Self {
         RxChain {
             decoder: AncDecoder::new(cfg),
             frame_cfg: cfg.frame,
-            modem: MskModem::new(MskConfig::oversampled(samples_per_symbol)),
+            modem: MskModem::default(),
             scratch: DecoderScratch::default(),
         }
     }
@@ -198,17 +172,14 @@ impl RxChain {
     /// clean tail.
     ///
     /// Only the two ends are demodulated: bit `k` depends on samples
-    /// `k·S` and `(k+1)·S` alone, so each end's bits come out as if the
+    /// `k` and `k + 1` alone, so each end's bits come out as if the
     /// whole region had been demodulated.
     pub fn peek_headers(&self, region: &[Cplx]) -> (Option<Header>, Option<Header>) {
-        let s = self.modem.config().samples_per_symbol;
-        let total = region.len().saturating_sub(1) / s;
+        let total = region.len().saturating_sub(1);
         // The header may start where the pilot search window ends.
         let m = (self.pilot_search_bits() + HEADER_BITS).min(total);
-        let head = self
-            .modem
-            .demodulate(&region[..(m * s + 1).min(region.len())]);
-        let mut tail = self.modem.demodulate(&region[(total - m) * s..]);
+        let head = self.modem.demodulate(&region[..(m + 1).min(region.len())]);
+        let mut tail = self.modem.demodulate(&region[total - m..]);
         tail.reverse();
         (
             self.read_head_header(&head, total),
@@ -470,56 +441,36 @@ mod tests {
     #[test]
     fn peek_headers_matches_full_demodulation() {
         // Regions longer and shorter than the two header windows
-        // together (704 bits each), at 1, 2 and 4 samples per bit, and
-        // every kind of cut: empty, under one symbol, mid-window.
+        // together (704 bits each), and every kind of cut: empty, under
+        // one symbol, mid-window.
         let mut rng = DspRng::seed_from(9);
         let mut both_found = 0;
-        for sps in [1usize, 2, 4] {
-            let tx = TxChain::with_oversampling(FrameConfig::default(), sps);
-            let rxc = RxChain::with_oversampling(decoder_cfg(), sps);
-            for payload in [64usize, 256, 1024] {
-                let fa = make_frame(&mut rng, 1, 2, 3, payload);
-                let fb = make_frame(&mut rng, 2, 1, 5, payload);
-                let stagger = 150 * sps;
-                let rx = reception(
-                    &mut rng,
-                    &tx,
-                    &[(&fa, 0, 1.0, 0.0), (&fb, stagger, 0.9, 0.01)],
-                );
-                let region = &rx[128..];
-                let n = region.len();
-                let full = peek_headers_full_demod(&rxc, region);
-                assert_eq!(
-                    rxc.peek_headers(region),
-                    full,
-                    "sps {sps} payload {payload}"
-                );
-                if full.0.is_some() && full.1.is_some() {
-                    both_found += 1;
-                }
-                for cut in [
-                    0,
-                    1,
-                    sps,
-                    sps + 1,
-                    700 * sps,
-                    1408 * sps,
-                    1409 * sps + 1,
-                    n / 2,
-                ] {
-                    let cut = cut.min(n);
-                    for part in [&region[..cut], &region[n - cut..]] {
-                        assert_eq!(
-                            rxc.peek_headers(part),
-                            peek_headers_full_demod(&rxc, part),
-                            "sps {sps} payload {payload} cut {cut}"
-                        );
-                    }
+        let tx = TxChain::new(FrameConfig::default());
+        let rxc = RxChain::new(decoder_cfg());
+        for payload in [64usize, 256, 1024] {
+            let fa = make_frame(&mut rng, 1, 2, 3, payload);
+            let fb = make_frame(&mut rng, 2, 1, 5, payload);
+            let rx = reception(&mut rng, &tx, &[(&fa, 0, 1.0, 0.0), (&fb, 150, 0.9, 0.01)]);
+            let region = &rx[128..];
+            let n = region.len();
+            let full = peek_headers_full_demod(&rxc, region);
+            assert_eq!(rxc.peek_headers(region), full, "payload {payload}");
+            if full.0.is_some() && full.1.is_some() {
+                both_found += 1;
+            }
+            for cut in [0, 1, 2, 700, 1408, 1410, n / 2] {
+                let cut = cut.min(n);
+                for part in [&region[..cut], &region[n - cut..]] {
+                    assert_eq!(
+                        rxc.peek_headers(part),
+                        peek_headers_full_demod(&rxc, part),
+                        "payload {payload} cut {cut}"
+                    );
                 }
             }
         }
         assert!(
-            both_found >= 6,
+            both_found == 3,
             "only {both_found} receptions had both headers"
         );
 
@@ -534,13 +485,10 @@ mod tests {
         bits.extend(header.to_bits().iter().rev());
         bits.extend(pilot_sequence(p).iter().rev());
         bits.extend(rng.bits(HEADER_BITS + 512));
-        for sps in [1usize, 2, 4] {
-            let rxc = RxChain::with_oversampling(decoder_cfg(), sps);
-            let region = rxc.modem.modulate(&bits);
-            let peeked = rxc.peek_headers(&region);
-            assert_eq!(peeked, (Some(header), Some(header)), "sps {sps}");
-            assert_eq!(peeked, peek_headers_full_demod(&rxc, &region));
-        }
+        let region = rxc.modem.modulate(&bits);
+        let peeked = rxc.peek_headers(&region);
+        assert_eq!(peeked, (Some(header), Some(header)));
+        assert_eq!(peeked, peek_headers_full_demod(&rxc, &region));
     }
 
     #[test]

@@ -117,6 +117,10 @@ pub enum EngineError {
         /// The kind that arrived.
         got: &'static str,
     },
+    /// A [`RunConfig`] field is out of its domain (a noise power that
+    /// is not finite and positive, a zero MAC slot count or length, a
+    /// channel gain range that is not finite, positive and ordered).
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -153,6 +157,7 @@ impl std::fmt::Display for EngineError {
                 f,
                 "node {node} block returned {got} output where {expected} output was due"
             ),
+            EngineError::InvalidConfig(s) => write!(f, "invalid run config: {s}"),
         }
     }
 }
@@ -494,7 +499,6 @@ impl<'p> Engine<'p> {
             let mut ncfg = NodeConfig::new(id, role);
             ncfg.mac = cfg.mac;
             ncfg.decoder.detector.noise_floor = cfg.noise_power;
-            ncfg.samples_per_symbol = cfg.samples_per_symbol.max(1);
             let mut node = Node::new(ncfg, rng.fork(100 + i as u64));
             for &(f1, f2) in &program.flow_pairs {
                 node.policy.add_flow_pair(f1, f2);
@@ -598,12 +602,17 @@ impl<'p> Engine<'p> {
     /// [`RunMetrics`] (scratch contents and thread interleavings never
     /// affect decode output — pinned by the golden suites and the
     /// scheduler-equivalence proptest).
+    ///
+    /// A `cfg` field out of its domain is rejected up front with
+    /// [`EngineError::InvalidConfig`] instead of panicking deep in
+    /// node, detector or link construction.
     pub fn try_run_ctx(
         program: &Program,
         cfg: &RunConfig,
         sched: &SchedulerSpec,
         ctx: &mut RunCtx,
     ) -> Result<RunMetrics, EngineError> {
+        validate_config(cfg)?;
         let mut engine = Engine::new(program, cfg);
         let n = engine.park.len();
         if ctx.scratches.len() < n {
@@ -780,7 +789,6 @@ impl<'p> Engine<'p> {
         let program = self.program;
         let arq = program.arq.ok_or(EngineError::ArqMissing)?;
         let nflows = program.flows.len();
-        let spb = self.cfg.samples_per_symbol.max(1);
         let cap = self.cfg.packets_per_flow;
         let seed = self.cfg.seed;
         // The full program is multi-sender only for coding schemes; an
@@ -885,9 +893,7 @@ impl<'p> Engine<'p> {
                 }
                 // Everyone idle or backing off: the medium sits silent
                 // for one MAC slot; fading keeps evolving.
-                self.metrics
-                    .account
-                    .tick((self.cfg.mac.slot_bits * spb) as f64);
+                self.metrics.account.tick(self.cfg.mac.slot_bits as f64);
                 self.exchange += 1;
                 period += 1;
                 continue;
@@ -931,7 +937,7 @@ impl<'p> Engine<'p> {
                     RoundMode::PerPacket => {
                         self.run_slots_once(drv, slots)?;
                         self.exchange += 1;
-                        self.settle_attempts(set, period, &arq, spb)?;
+                        self.settle_attempts(set, period, &arq)?;
                         if let Some(h) = health.as_mut() {
                             self.observe_health(set, period, h, &mut tracker)?;
                         }
@@ -966,7 +972,7 @@ impl<'p> Engine<'p> {
                                 }
                             }
                         }
-                        self.settle_chain(f, &injected, period, &arq, spb)?;
+                        self.settle_chain(f, &injected, period, &arq)?;
                     }
                 }
             }
@@ -1062,7 +1068,6 @@ impl<'p> Engine<'p> {
         set: &[usize],
         period: u64,
         arq: &ArqConfig,
-        spb: usize,
     ) -> Result<(), EngineError> {
         let now = self.metrics.account.time_samples;
         for &f in set {
@@ -1080,7 +1085,7 @@ impl<'p> Engine<'p> {
                 cl.ledger[f].record_latency(latency);
                 let implicit = cl.forwarded[f];
                 if !implicit {
-                    self.metrics.account.tick((arq.ack_bits * spb) as f64);
+                    self.metrics.account.tick(arq.ack_bits as f64);
                 }
             } else if cl.forwarded[f] {
                 // The relay's forward copy was overheard, so the
@@ -1122,7 +1127,6 @@ impl<'p> Engine<'p> {
         injected: &[PacketKey],
         period: u64,
         arq: &ArqConfig,
-        spb: usize,
     ) -> Result<(), EngineError> {
         let now = self.metrics.account.time_samples;
         let (mut explicit_acks, mut drops) = (0usize, 0usize);
@@ -1162,7 +1166,7 @@ impl<'p> Engine<'p> {
             }
         }
         for _ in 0..explicit_acks {
-            self.metrics.account.tick((arq.ack_bits * spb) as f64);
+            self.metrics.account.tick(arq.ack_bits as f64);
         }
         for _ in 0..drops {
             self.metrics.account.lose();
@@ -1334,14 +1338,8 @@ impl<'p> Engine<'p> {
         };
         let carrier_phase = self.carrier_rng.phase();
         let mut offset = match timing {
-            // The §7.2 stagger is drawn in bit-times; convert through
-            // the sender's actual front-end rate so MAC delays stay in
-            // sample units if oversampling ever diverges from 1.
-            SlotTiming::Triggered => {
-                let mut node = park.lock(sender)?;
-                let spb = node.samples_per_bit();
-                node.draw_delay(spb)
-            }
+            // The §7.2 stagger, in samples (one per bit).
+            SlotTiming::Triggered => park.lock(sender)?.draw_delay(),
             SlotTiming::Scheduled => 0,
         };
         // Monte Carlo TX process: this exchange's residual CFO and
@@ -1678,9 +1676,12 @@ impl<'p> Engine<'p> {
                     self.mixture.insert(recv, (window, start, end));
                 }
                 RxDone::Capture(None) => {
-                    // Near-total overlap: neither header readable;
-                    // every packet inside the mixture is lost
-                    // (closed loop: every rider's attempt fails).
+                    // The router's poll returned anything but `Relay`
+                    // (a clean packet, a parse or decode failure, a
+                    // policy drop, no signal): every packet inside the
+                    // mixture is charged lost (closed loop: every
+                    // rider's attempt fails). This includes exchanges
+                    // whose packets never overlapped (ROADMAP item 1).
                     for _ in flows {
                         self.lose_open();
                     }
@@ -1867,6 +1868,38 @@ fn rx_work(action: &RxAction) -> RxWork {
     }
 }
 
+/// Checks the [`RunConfig`] fields whose bad values would otherwise
+/// panic inside a run (detector noise floor, MAC, link gains) or run
+/// to a meaningless result (an infinite noise floor).
+fn validate_config(cfg: &RunConfig) -> Result<(), EngineError> {
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if !positive(cfg.noise_power) {
+        return Err(EngineError::InvalidConfig(format!(
+            "noise_power {} must be finite and positive",
+            cfg.noise_power
+        )));
+    }
+    if cfg.mac.delay_slots == 0 || cfg.mac.slot_bits == 0 {
+        return Err(EngineError::InvalidConfig(format!(
+            "MAC needs at least one delay slot of at least one bit, got {} x {} bits",
+            cfg.mac.delay_slots, cfg.mac.slot_bits
+        )));
+    }
+    let ch = &cfg.channel;
+    for (name, (lo, hi)) in [
+        ("gain", ch.gain),
+        ("overhear_gain", ch.overhear_gain),
+        ("weak_gain", ch.weak_gain),
+    ] {
+        if !(positive(lo) && positive(hi) && lo <= hi) {
+            return Err(EngineError::InvalidConfig(format!(
+                "channel {name} range ({lo}, {hi}) must be finite, positive and ordered"
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn clean_frame(evt: RxEvent) -> Option<Frame> {
     match evt {
         RxEvent::Clean {
@@ -1882,18 +1915,13 @@ mod tests {
     use super::*;
     use crate::scenario::ScenarioSpec;
 
-    fn alice_bob_anc(
-        spb: usize,
-        impairments: Option<ImpairmentSpec>,
-        seed: u64,
-    ) -> (Program, RunConfig) {
+    fn alice_bob_anc(impairments: Option<ImpairmentSpec>, seed: u64) -> (Program, RunConfig) {
         let mut spec = ScenarioSpec::alice_bob();
         if let Some(imp) = impairments {
             spec = spec.with_impairments(imp);
         }
         let program = spec.compile(Scheme::Anc).expect("alice_bob compiles");
         let cfg = RunConfig {
-            samples_per_symbol: spb,
             packets_per_flow: 2,
             payload_bits: 512,
             ..RunConfig::quick(seed)
@@ -1903,7 +1931,7 @@ mod tests {
 
     #[test]
     fn mismatched_outcome_kind_is_reported_truthfully() {
-        let (p, c) = alice_bob_anc(1, None, 9);
+        let (p, c) = alice_bob_anc(None, 9);
         let mut e = Engine::new(&p, &c);
         let rxs = || p.slots.iter().flat_map(|s| &s.rxs);
         let capture = rxs()
@@ -1939,36 +1967,6 @@ mod tests {
     }
 
     #[test]
-    fn triggered_stagger_scales_with_samples_per_bit() {
-        // Same seed, 1× vs 4× oversampled front ends: the MAC draws
-        // the same slot + jitter in bit-times, so the realized sample
-        // offsets of the triggered slot must scale by the oversampling
-        // factor (± the jitter rounding).
-        let (p1, c1) = alice_bob_anc(1, None, 9);
-        let (p4, c4) = alice_bob_anc(4, None, 9);
-        let mut e1 = Engine::new(&p1, &c1);
-        let mut e4 = Engine::new(&p4, &c4);
-        assert_eq!(p1.slots[0].timing, SlotTiming::Triggered);
-        for intent in &p1.slots[0].txs {
-            e1.fire_tx(intent, SlotTiming::Triggered).unwrap();
-        }
-        for intent in &p4.slots[0].txs {
-            e4.fire_tx(intent, SlotTiming::Triggered).unwrap();
-        }
-        assert_eq!(e1.events.len(), 2);
-        assert_eq!(e4.events.len(), 2);
-        for (a, b) in e1.events.iter().zip(&e4.events) {
-            assert!(
-                (b.offset as i64 - 4 * a.offset as i64).abs() <= 4,
-                "stagger must scale with samples-per-bit: {} vs {}",
-                a.offset,
-                b.offset
-            );
-            assert_eq!(b.wave.len(), 4 * (a.wave.len() - 1) + 1, "4× samples");
-        }
-    }
-
-    #[test]
     fn timing_slips_shift_the_stagger_in_both_directions() {
         // The Monte Carlo timing slip is signed: a late draw pushes
         // the triggered offset out, an early one pulls it toward the
@@ -1978,8 +1976,8 @@ mod tests {
         let spec_imp = ImpairmentSpec::default().with_jitter(48.0);
         let (mut saw_negative, mut saw_positive) = (false, false);
         for seed in 0..40u64 {
-            let (p_base, c_base) = alice_bob_anc(1, None, seed);
-            let (p_imp, c_imp) = alice_bob_anc(1, Some(spec_imp), seed);
+            let (p_base, c_base) = alice_bob_anc(None, seed);
+            let (p_imp, c_imp) = alice_bob_anc(Some(spec_imp), seed);
             let mut eb = Engine::new(&p_base, &c_base);
             let mut ei = Engine::new(&p_imp, &c_imp);
             let intent = &p_base.slots[0].txs[0];

@@ -61,11 +61,6 @@ pub struct RunConfig {
     /// Per-node transmit amplitude overrides (node, amplitude); used
     /// by the Fig.-13 SIR sweep. Default none (unit amplitude).
     pub tx_amplitude_overrides: Vec<(NodeId, f64)>,
-    /// Front-end oversampling factor for every node (complex samples
-    /// per bit-time; 1 = the paper's symbol-rate processing). MAC
-    /// stagger draws scale by this so slot offsets stay in sample
-    /// units if the radio rate ever diverges from one sample per bit.
-    pub samples_per_symbol: usize,
 }
 
 impl Default for RunConfig {
@@ -82,7 +77,6 @@ impl Default for RunConfig {
             pad_samples: 96,
             turnaround_bits: 288,
             tx_amplitude_overrides: Vec::new(),
-            samples_per_symbol: 1,
         }
     }
 }
@@ -258,6 +252,7 @@ pub fn run_x(scheme: Scheme, cfg: &RunConfig) -> RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineError;
     use crate::metrics::gain;
 
     #[test]
@@ -371,6 +366,60 @@ mod tests {
         let b = run_alice_bob(Scheme::Anc, &cfg);
         assert_eq!(a.account.goodput_bits, b.account.goodput_bits);
         assert_eq!(a.packet_bers, b.packet_bers);
+    }
+
+    /// `RunConfig::quick(7)` as written while `RunConfig` still had
+    /// its oversampling field.
+    const OVERSAMPLING_ERA_RUN_CONFIG_JSON: &str = r#"{"channel":{"gain":[0.7,1],"overhear_gain":[0.55,0.85],"weak_gain":[0.12,0.3]},"guard_samples":64,"mac":{"delay_slots":16,"jitter_bits":16,"slot_bits":160},"noise_power":0.001,"osc_offset_max":0.03,"packets_per_flow":12,"pad_samples":96,"payload_bits":768,"samples_per_symbol":1,"seed":7,"turnaround_bits":288,"tx_amplitude_overrides":[]}"#;
+
+    #[test]
+    fn oversampling_era_run_config_json_still_loads() {
+        let old: RunConfig = serde_json::from_str(OVERSAMPLING_ERA_RUN_CONFIG_JSON).unwrap();
+        let now = RunConfig::quick(7);
+        assert_eq!(
+            serde_json::to_string(&old).unwrap(),
+            serde_json::to_string(&now).unwrap()
+        );
+        let a = run_alice_bob(Scheme::Anc, &old);
+        let b = run_alice_bob(Scheme::Anc, &now);
+        assert_eq!(a.packet_bers, b.packet_bers);
+        assert_eq!(a.account.goodput_bits, b.account.goodput_bits);
+    }
+
+    #[test]
+    fn hostile_run_configs_are_typed_errors() {
+        type Poison = fn(&mut RunConfig);
+        // Each input is outside its field's domain; none may reach
+        // node, detector or link construction.
+        let cases: [(&str, Poison); 11] = [
+            ("negative noise", |c| c.noise_power = -1e-3),
+            ("NaN noise", |c| c.noise_power = f64::NAN),
+            ("zero noise", |c| c.noise_power = 0.0),
+            ("infinite noise", |c| c.noise_power = f64::INFINITY),
+            ("zero delay slots", |c| c.mac.delay_slots = 0),
+            ("zero slot length", |c| c.mac.slot_bits = 0),
+            ("NaN gain", |c| c.channel.gain = (f64::NAN, 1.0)),
+            ("zero gain", |c| c.channel.gain = (0.0, 1.0)),
+            ("unordered gain", |c| c.channel.gain = (1.0, 0.7)),
+            ("NaN overhear gain", |c| {
+                c.channel.overhear_gain = (0.5, f64::NAN)
+            }),
+            ("NaN weak gain", |c| c.channel.weak_gain = (f64::NAN, 0.3)),
+        ];
+        for (name, poison) in cases {
+            let mut cfg = RunConfig::quick(7);
+            poison(&mut cfg);
+            for spec in [ScenarioSpec::alice_bob(), ScenarioSpec::x()] {
+                let err = spec.builder(Scheme::Anc).config(cfg.clone()).run();
+                assert!(
+                    matches!(
+                        err,
+                        Err(ScenarioError::Engine(EngineError::InvalidConfig(_)))
+                    ),
+                    "{name}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

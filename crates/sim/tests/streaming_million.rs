@@ -1,6 +1,7 @@
 //! The city's O(1) metric store at city scale: [`StatDigest`]s fed a
 //! million samples keep exact counts and Welford means, and P²
-//! quantiles accurate to 1%.
+//! quantiles accurate to 1%. At small scale, the digest's Welford
+//! recurrence matches the two-pass mean and variance.
 //!
 //! This is the check behind `CityOutcome` and `city_sweep`: the
 //! flash-crowd sweep trusts these digests for its p99 latency claims,
@@ -9,6 +10,7 @@
 
 use anc_dsp::DspRng;
 use anc_sim::StatDigest;
+use proptest::prelude::*;
 
 const SAMPLES: usize = 1_000_000;
 
@@ -73,4 +75,19 @@ fn digest_memory_is_constant_in_sample_count() {
     }
     assert_eq!(std::mem::size_of_val(&small), std::mem::size_of_val(&large));
     assert!(std::mem::size_of::<StatDigest>() < 512);
+}
+
+proptest! {
+    /// Welford matches the two-pass reference.
+    #[test]
+    fn stat_digest_matches_two_pass_reference(
+        xs in proptest::collection::vec(-1e3f64..1e3, 2..200),
+    ) {
+        let mut s = StatDigest::new();
+        xs.iter().for_each(|&x| s.push(x));
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
+        prop_assert!((s.mean() - mean).abs() < 1e-6);
+        prop_assert!((s.variance() - var).abs() < 1e-4 * var.max(1.0));
+    }
 }
